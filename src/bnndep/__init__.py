@@ -43,7 +43,6 @@ from .network import (
     LayerValues,
     NetworkConfig,
     PriorSpec,
-    apply_activation,
     elu,
     forward,
     uniform_config,

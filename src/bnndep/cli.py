@@ -24,7 +24,7 @@ from . import estimators as est
 from . import exact
 from .experiments import GridRange, SweepSpec, acceptance_suite, run_sweep, summarize
 from .gridio import render_heatmap, write_grid_csv
-from .network import Activation, ConfigError, PriorSpec, uniform_config
+from .network import Activation, ConfigError, NetworkConfig, PriorSpec, uniform_config
 from .sampling import SeedSpec, generate_input, sample_layer, sample_replicas, sample_units
 
 DEFAULT_CONFIG = {
@@ -78,32 +78,6 @@ def load_config(path) -> dict:
     return _merge_config(DEFAULT_CONFIG, doc)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config document")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--input-dim", type=int, dest="input_dim")
-    p.add_argument("--depths", help="comma-separated hidden-layer counts")
-    p.add_argument("--widths", help="comma-separated hidden widths")
-    p.add_argument("--grid-steps", type=int, dest="grid_steps")
-    p.add_argument("--grid-lo", type=float, dest="grid_lo")
-    p.add_argument("--grid-hi", type=float, dest="grid_hi")
-    p.add_argument("--activation", choices=Activation.KINDS)
-    p.add_argument("--elu-alpha", type=float, dest="elu_alpha")
-    p.add_argument("--prior-family", dest="prior_family",
-                   choices=("gaussian", "equicorrelated", "student_t"))
-    p.add_argument("--scale-mode", dest="scale_mode", choices=("fan_in", "fixed"))
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--tap", choices=("pre", "post"))
-    p.add_argument("--units", help="comma-separated pair of unit indices")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out", dest="out_dir")
-    p.add_argument("--color-limit", type=float, dest="color_limit")
-    p.add_argument("--formats", help="comma-separated subset of csv,svg,json")
-
-
 def _csv_ints(text: str) -> list[int]:
     try:
         return [int(t) for t in text.split(",") if t != ""]
@@ -111,43 +85,53 @@ def _csv_ints(text: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 
+def _csv_words(text: str) -> list[str]:
+    return [t for t in text.split(",") if t]
+
+
+# Flags shared by the sampling subcommands: the flag, the dotted config path
+# it overrides, the conversion applied to the parsed value, argparse keywords.
+_COMMON_FLAGS = (
+    ("--seed", "seed", None, {"type": int}),
+    ("--n", "n", None, {"type": int}),
+    ("--input-dim", "input_dim", None, {"type": int}),
+    ("--depths", "depths", _csv_ints, {"help": "comma-separated hidden-layer counts"}),
+    ("--widths", "widths", _csv_ints, {"help": "comma-separated hidden widths"}),
+    ("--grid-steps", "grid.steps", None, {"type": int}),
+    ("--grid-lo", "grid.lo", None, {"type": float}),
+    ("--grid-hi", "grid.hi", None, {"type": float}),
+    ("--activation", "activation.kind", None, {"choices": Activation.KINDS}),
+    ("--elu-alpha", "activation.alpha", None, {"type": float}),
+    ("--prior-family", "prior.family", None,
+     {"choices": ("gaussian", "equicorrelated", "student_t")}),
+    ("--scale-mode", "prior.scale_mode", None, {"choices": ("fan_in", "fixed")}),
+    ("--sigma0", "prior.sigma0", None, {"type": float}),
+    ("--rho", "prior.rho", None, {"type": float}),
+    ("--nu", "prior.nu", None, {"type": float}),
+    ("--tap", "tap", None, {"choices": ("pre", "post")}),
+    ("--units", "units", _csv_ints, {"help": "comma-separated pair of unit indices"}),
+    ("--workers", "workers", None, {"type": int}),
+    ("--out", "out_dir", None, {"dest": "out_dir"}),
+    ("--color-limit", "color_limit", None, {"type": float}),
+    ("--formats", "formats", _csv_words, {"help": "comma-separated subset of csv,svg,json"}),
+)
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON config document")
+    for flag, _, _, kwargs in _COMMON_FLAGS:
+        p.add_argument(flag, **kwargs)
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    doc = load_config(args.config) if getattr(args, "config", None) else copy.deepcopy(DEFAULT_CONFIG)
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "n", None) is not None:
-        doc["n"] = args.n
-    if getattr(args, "input_dim", None) is not None:
-        doc["input_dim"] = args.input_dim
-    if getattr(args, "depths", None) is not None:
-        doc["depths"] = _csv_ints(args.depths)
-    if getattr(args, "widths", None) is not None:
-        doc["widths"] = _csv_ints(args.widths)
-    for key, dest in (("steps", "grid_steps"), ("lo", "grid_lo"), ("hi", "grid_hi")):
-        val = getattr(args, dest, None)
-        if val is not None:
-            doc["grid"][key] = val
-    if getattr(args, "activation", None) is not None:
-        doc["activation"]["kind"] = args.activation
-    if getattr(args, "elu_alpha", None) is not None:
-        doc["activation"]["alpha"] = args.elu_alpha
-    for key, dest in (("family", "prior_family"), ("scale_mode", "scale_mode"),
-                      ("sigma0", "sigma0"), ("rho", "rho"), ("nu", "nu")):
-        val = getattr(args, dest, None)
-        if val is not None:
-            doc["prior"][key] = val
-    if getattr(args, "tap", None) is not None:
-        doc["tap"] = args.tap
-    if getattr(args, "units", None) is not None:
-        doc["units"] = _csv_ints(args.units)
-    if getattr(args, "workers", None) is not None:
-        doc["workers"] = args.workers
-    if getattr(args, "out_dir", None) is not None:
-        doc["out_dir"] = args.out_dir
-    if getattr(args, "color_limit", None) is not None:
-        doc["color_limit"] = args.color_limit
-    if getattr(args, "formats", None) is not None:
-        doc["formats"] = [t for t in args.formats.split(",") if t]
+    doc = (load_config(args.config) if getattr(args, "config", None)
+           else copy.deepcopy(DEFAULT_CONFIG))
+    for flag, path, convert, kwargs in _COMMON_FLAGS:
+        # argparse's default dest unless the row names one
+        value = getattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), None)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            (doc[section] if section else doc)[key] = convert(value) if convert else value
     for fmt in doc["formats"]:
         if fmt not in ("csv", "svg", "json"):
             raise UsageError(f"unknown output format {fmt!r}")
@@ -209,14 +193,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_delta(args) -> int:
+def _single_net(args) -> tuple[dict, NetworkConfig, np.ndarray, int, SeedSpec]:
+    """Config document, network, input, tapped layer and seed of a one-network command."""
     doc = resolve_config(args)
     depth, width = doc["depths"][0], doc["widths"][0]
     config = uniform_config(doc["input_dim"], width, depth,
                             _activation_from(doc), _prior_from(doc))
     layer = args.layer if args.layer is not None else depth
     seed = SeedSpec(doc["seed"])
-    x = generate_input(doc["input_dim"], seed)
+    return doc, config, generate_input(doc["input_dim"], seed), layer, seed
+
+
+def cmd_delta(args) -> int:
+    doc, config, x, layer, seed = _single_net(args)
     z = GridRange(doc["grid"]["lo"], doc["grid"]["hi"], doc["grid"]["steps"]).values()
     pair = tuple(doc["units"])
     if args.combo == "single":
@@ -237,13 +226,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_concordance(args) -> int:
-    doc = resolve_config(args)
-    depth, width = doc["depths"][0], doc["widths"][0]
-    config = uniform_config(doc["input_dim"], width, depth,
-                            _activation_from(doc), _prior_from(doc))
-    layer = args.layer if args.layer is not None else depth
-    seed = SeedSpec(doc["seed"])
-    x = generate_input(doc["input_dim"], seed)
+    doc, config, x, layer, seed = _single_net(args)
     batch = sample_units(config, x, layer, tuple(doc["units"]), doc["tap"],
                          doc["n"], seed, workers=doc["workers"])
     report = {
@@ -256,13 +239,7 @@ def cmd_concordance(args) -> int:
 
 
 def cmd_pd(args) -> int:
-    doc = resolve_config(args)
-    depth, width = doc["depths"][0], doc["widths"][0]
-    config = uniform_config(doc["input_dim"], width, depth,
-                            _activation_from(doc), _prior_from(doc))
-    layer = args.layer if args.layer is not None else depth
-    seed = SeedSpec(doc["seed"])
-    x = generate_input(doc["input_dim"], seed)
+    doc, config, x, layer, seed = _single_net(args)
     samples = sample_layer(config, x, layer, doc["n"], seed, doc["tap"],
                            workers=doc["workers"])
     qlo, qhi = (float(t) for t in args.z_quantiles.split(","))
@@ -282,22 +259,15 @@ def cmd_pd(args) -> int:
 def cmd_oracle(args) -> int:
     if args.mode == "delta00":
         value = exact.analytic_delta_zero(args.width)
-        if args.exact:
-            print(value)
-        else:
-            print(f"{float(value):.17g}")
-        return 0
-    # enumerate: exact value for the builtin toy net or a custom one
-    widths = tuple(_csv_ints(args.net_widths))
-    input_vec = tuple(float(t) for t in args.net_input.split(","))
-    spec = exact.DiscreteNetSpec(widths=widths, input=input_vec)
-    value = exact.enumerate_exact_delta(
-        spec, len(widths) - 1, tuple(_csv_ints(args.units_pair)),
-        args.z1, args.z2, args.tail)
-    if args.exact:
-        print(value)
     else:
-        print(f"{float(value):.17g}")
+        # enumerate: exact value for the builtin toy net or a custom one
+        widths = tuple(_csv_ints(args.net_widths))
+        input_vec = tuple(float(t) for t in args.net_input.split(","))
+        spec = exact.DiscreteNetSpec(widths=widths, input=input_vec)
+        value = exact.enumerate_exact_delta(
+            spec, len(widths) - 1, tuple(_csv_ints(args.units_pair)),
+            args.z1, args.z2, args.tail)
+    print(value if args.exact else f"{float(value):.17g}")
     return 0
 
 

@@ -181,26 +181,18 @@ def delta_grid(
         raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
 
     g1, g2 = z1.size, z2.size
+    # bin each sample by the thresholds below it (at or below it for the upper
+    # tail); prefix sums then count u <= z1[a] (lower) or u < z1[a] (upper)
+    side = "left" if tail == LOWER else "right"
+    ai = np.searchsorted(z1, u, side=side)
+    bi = np.searchsorted(z2, v, side=side)
+    hist = np.bincount(ai * (g2 + 1) + bi, minlength=(g1 + 1) * (g2 + 1))
+    pre = hist.reshape(g1 + 1, g2 + 1).cumsum(axis=0).cumsum(axis=1)
+    c11, c1, c2 = pre[:g1, :g2], pre[:g1, g2], pre[g1, :g2]
     if tail == UPPER:
-        # u >= z1[a]  <=>  a < searchsorted(z1, u, 'right')
-        ai = np.searchsorted(z1, u, side="right")
-        bi = np.searchsorted(z2, v, side="right")
-        hist = np.bincount(ai * (g2 + 1) + bi, minlength=(g1 + 1) * (g2 + 1))
-        hist = hist.reshape(g1 + 1, g2 + 1)
-        suf = hist[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-        c11 = suf[1:, 1:]
-        c1 = suf[1:, 0]
-        c2 = suf[0, 1:]
-    else:
-        # u <= z1[a]  <=>  a >= searchsorted(z1, u, 'left')
-        ai = np.searchsorted(z1, u, side="left")
-        bi = np.searchsorted(z2, v, side="left")
-        hist = np.bincount(ai * (g2 + 1) + bi, minlength=(g1 + 1) * (g2 + 1))
-        hist = hist.reshape(g1 + 1, g2 + 1)
-        pre = hist.cumsum(axis=0).cumsum(axis=1)
-        c11 = pre[:g1, :g2]
-        c1 = pre[:g1, g2]
-        c2 = pre[g1, :g2]
+        # u >= z1[a] is the complement of u < z1[a]; integer counts keep it exact
+        c11 = n - c1[:, None] - c2[None, :] + c11
+        c1, c2 = n - c1, n - c2
 
     value, se = _delta_from_counts(c11, c1[:, None], c2[None, :], n)
     return DeltaGrid(z1, z2, value, se, n, tail, combo)
@@ -285,23 +277,15 @@ def _strict_inversions(a: np.ndarray) -> int:
     return total
 
 
-def _tie_pair_count(sorted_a: np.ndarray) -> int:
-    """Sum over runs of equal values of C(run, 2); input must be sorted."""
-    if sorted_a.shape[0] < 2:
+def _tie_pair_count(*sorted_keys: np.ndarray) -> int:
+    """Sum over runs of equal key tuples of C(run, 2); rows sorted by the keys."""
+    first = sorted_keys[0]
+    if first.shape[0] < 2:
         return 0
-    boundaries = np.flatnonzero(sorted_a[1:] != sorted_a[:-1])
-    edges = np.concatenate(([0], boundaries + 1, [sorted_a.shape[0]]))
-    runs = np.diff(edges)
-    return int((runs * (runs - 1) // 2).sum())
-
-
-def _joint_tie_pair_count(us: np.ndarray, vs: np.ndarray) -> int:
-    """Tied-in-both pair count; inputs sorted lexicographically together."""
-    if us.shape[0] < 2:
-        return 0
-    differs = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
-    boundaries = np.flatnonzero(differs)
-    edges = np.concatenate(([0], boundaries + 1, [us.shape[0]]))
+    differs = np.zeros(first.shape[0] - 1, dtype=bool)
+    for key in sorted_keys:
+        differs |= key[1:] != key[:-1]
+    edges = np.concatenate(([0], np.flatnonzero(differs) + 1, [first.shape[0]]))
     runs = np.diff(edges)
     return int((runs * (runs - 1) // 2).sum())
 
@@ -323,7 +307,7 @@ def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     n0 = n * (n - 1) // 2
     tied_u = _tie_pair_count(us)
     tied_v = _tie_pair_count(np.sort(v))
-    tied_both = _joint_tie_pair_count(us, vs)
+    tied_both = _tie_pair_count(us, vs)
     numerator = n0 - tied_u - tied_v + tied_both - 2 * discordant
     tau = numerator / n0
     se = np.sqrt(2.0 * (2 * n + 5) / (9.0 * n * (n - 1)))

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .estimators import LOWER, UPPER
-from .network import RELU, Activation
-from .sampling import SampleBatch, SeedSpec, STREAM_DISCRETE, _as_seed
+from .network import RELU, Activation, PriorSpec
+from .sampling import STREAM_DISCRETE, SampleBatch, _as_seed, _forward_stacks
 
 MAX_CONFIGURATIONS = 1 << 24
 _CHUNK = 1 << 16
@@ -57,25 +56,12 @@ def toy_relu_net() -> DiscreteNetSpec:
     return DiscreteNetSpec(widths=(1, 1, 2), input=(1.0,))
 
 
-def _forward_configs(
-    spec: DiscreteNetSpec, weight_values: np.ndarray, layer: int
-) -> np.ndarray:
-    """Propagate a (count, m) matrix of flat weight draws up to ``layer``."""
-    x = np.asarray(spec.input, dtype=np.float64)
-    offset = 0
-    h: Optional[np.ndarray] = None
-    pre = None
-    for l in range(1, layer + 1):
-        rows, cols = spec.widths[l - 1], spec.widths[l]
-        w = weight_values[:, offset : offset + rows * cols].reshape(-1, rows, cols)
-        offset += rows * cols
-        if l == 1:
-            pre = np.tensordot(w, x, axes=([1], [0]))
-        else:
-            pre = np.matmul(h[:, None, :], w)[:, 0, :]
-        if l < layer:
-            h = spec.activation(pre)
-    return pre
+def _last_pre(spec: DiscreteNetSpec, weight_values: np.ndarray, layer: int) -> np.ndarray:
+    """Layer ``layer`` pre-activations of a (count, m) matrix of flat weight draws."""
+    shapes = list(zip(spec.widths[:layer], spec.widths[1 : layer + 1]))
+    flat = np.split(weight_values, np.cumsum([r * c for r, c in shapes])[:-1], axis=1)
+    stacks = (w.reshape(-1, r, c) for w, (r, c) in zip(flat, shapes))
+    return _forward_stacks(spec.activation, np.asarray(spec.input, dtype=np.float64), stacks)[0]
 
 
 def enumerate_exact_delta(
@@ -113,7 +99,7 @@ def enumerate_exact_delta(
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = (idx[:, None] // radix) % k
-        pre = _forward_configs(spec, values[digits], layer)
+        pre = _last_pre(spec, values[digits], layer)
         weight = np.prod(wts[digits], axis=1)
         u, v = pre[:, j1], pre[:, j2]
         if tail == UPPER:
@@ -152,13 +138,11 @@ def sample_discrete_net(
         count = min(block, n - start)
         rng = seed.stream(STREAM_DISCRETE, k)
         digits = rng.choice(len(values), size=(count, m), p=probs)
-        pre = _forward_configs(spec, values[digits], layer)
+        pre = _last_pre(spec, values[digits], layer)
         vals = pre if tap == "pre" else spec.activation(pre)
         u[start : start + count] = vals[:, j1]
         v[start : start + count] = vals[:, j2]
     # prior field is unused for discrete supports; record a placeholder
-    from .network import PriorSpec
-
     return SampleBatch(u, v, layer, tap, PriorSpec())
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -21,7 +20,6 @@ from . import exact
 from .network import IDENTITY, RELU, Activation, PriorSpec, uniform_config
 from .sampling import (
     SeedSpec,
-    _as_seed,
     generate_input,
     sample_layer,
     sample_replicas,
@@ -77,21 +75,20 @@ class SweepCell:
     summary: GridSummary
 
 
-def theoretical_sign(z1: float, z2: float) -> int:
+def theoretical_sign(z1, z2):
     """Sign the exceedance difference must have at (z1, z2) beyond layer 1.
 
     The conditional exceedance is non-decreasing in the conditioning norm
     for z > 0 and non-increasing for z <= 0, so the covariance of the two
     is non-negative exactly when z1 and z2 fall on the same side, with zero
-    grouped with the negative side.
+    grouped with the negative side.  Broadcasts over arrays.
     """
-    return 1 if (z1 > 0) == (z2 > 0) else -1
+    return np.where((z1 > 0) == (z2 > 0), 1, -1)
 
 
 def quadrant_sign_violations(grid: est.DeltaGrid) -> int:
     """Cells whose estimate is significantly on the wrong side of zero."""
-    same = (grid.z1_values > 0)[:, None] == (grid.z2_values > 0)[None, :]
-    wrong = np.where(same, grid.value < 0, grid.value > 0)
+    wrong = theoretical_sign(grid.z1_values[:, None], grid.z2_values[None, :]) * grid.value < 0
     significant = np.abs(grid.value) > 3.0 * grid.std_error
     return int(np.count_nonzero(wrong & significant))
 
@@ -202,6 +199,11 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _within(value: float, std_error: float, target: float = 0.0) -> bool:
+    """The 4-SE agreement test that most criteria apply."""
+    return abs(value - target) <= 4.0 * std_error
+
+
 _ORIGIN_TARGETS = {h: exact.analytic_delta_zero(h) for h in (2, 5, 10)}
 
 
@@ -257,9 +259,8 @@ def acceptance_suite(
     batch_l1 = sample_units(config_l1, x, 1, (0, 1), "pre", n, seed.child(2), workers=workers)
     tau = est.kendall_tau(batch_l1)
     rho = est.spearman_rho(batch_l1)
-    ok2 = (max_ratio <= 4.0
-           and abs(tau.value) <= 4.0 * tau.std_error
-           and abs(rho.value) <= 4.0 * rho.std_error)
+    ok2 = (max_ratio <= 4.0 and _within(tau.value, tau.std_error)
+           and _within(rho.value, rho.std_error))
     results.append(CriterionResult(
         2, "first-layer grids and concordance are null",
         _status(ok2),
@@ -279,7 +280,7 @@ def acceptance_suite(
                                  seed.child(label, h), workers=workers)
             e = est.delta_upper(batch, 0.0, 0.0)
             target = float(_ORIGIN_TARGETS[h])
-            ok = ok and abs(e.value - target) <= 4.0 * e.std_error
+            ok = ok and _within(e.value, e.std_error, target)
             detail[f"H{h}"] = {"estimate": e.value, "target": target,
                                "tolerance": 4.0 * e.std_error, "n": e.n}
         return ok, detail
@@ -308,7 +309,7 @@ def acceptance_suite(
             batch = sample_units(config, x, layer, (0, 1), "pre", n,
                                  seed.child(5, pi, layer), workers=workers)
             cov = est.covariance(batch)
-            ok5 = ok5 and abs(cov.value) <= 4.0 * cov.std_error
+            ok5 = ok5 and _within(cov.value, cov.std_error)
             det5[f"{pname}_layer{layer}"] = {"cov": cov.value, "bound": 4 * cov.std_error}
     results.append(CriterionResult(
         5, "zero covariance between units at every layer", _status(ok5), _py(det5)))
@@ -323,8 +324,8 @@ def acceptance_suite(
                                  seed.child(6, ai, layer), workers=workers)
             tau = est.kendall_tau(batch)
             rho = est.spearman_rho(batch)
-            ok6 = (ok6 and abs(tau.value) <= 4.0 * tau.std_error
-                   and abs(rho.value) <= 4.0 * rho.std_error)
+            ok6 = (ok6 and _within(tau.value, tau.std_error)
+                   and _within(rho.value, rho.std_error))
             det6[f"{act.kind}_layer{layer}"] = {
                 "tau": tau.value, "tau_bound": 4 * tau.std_error,
                 "rho": rho.value, "rho_bound": 4 * rho.std_error}
@@ -354,7 +355,7 @@ def acceptance_suite(
     for z1, z2 in ((0.0, 0.0), (0.5, 0.5), (0.5, -0.5)):
         ex = float(exact.enumerate_exact_delta(toy, 2, (0, 1), z1, z2))
         e = est.delta_upper(mc, z1, z2)
-        ok8 = ok8 and abs(e.value - ex) <= 4.0 * e.std_error
+        ok8 = ok8 and _within(e.value, e.std_error, ex)
         det8[f"z=({z1},{z2})"] = {"exact": ex, "estimate": e.value,
                                   "tolerance": 4.0 * e.std_error}
     results.append(CriterionResult(

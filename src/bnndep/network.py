@@ -66,12 +66,6 @@ def elu(alpha: float = 1.0) -> Activation:
     return Activation("elu", alpha)
 
 
-def apply_activation(activation: Activation, x):
-    """Evaluate ``activation`` at ``x`` (scalar in, scalar out)."""
-    out = activation(x)
-    return float(out) if np.ndim(x) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Priors
 # ---------------------------------------------------------------------------

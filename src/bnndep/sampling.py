@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -84,9 +84,6 @@ class SampleBatch:
     @property
     def n(self) -> int:
         return self.u.shape[0]
-
-    def swapped(self) -> "SampleBatch":
-        return SampleBatch(self.v, self.u, self.layer, self.tap, self.prior, self.prev_norms)
 
 
 @dataclass
@@ -160,38 +157,24 @@ def _block_size(config: NetworkConfig, layer: int) -> int:
     return int(min(_BLOCK_CAP, max(1, _BLOCK_BUDGET // weights_per_sample)))
 
 
-def _layer_block(
-    config: NetworkConfig,
-    x: np.ndarray,
-    layer: int,
-    tap: str,
-    rng: np.random.Generator,
-    count: int,
-    want_norms: bool,
+def _forward_stacks(
+    activation, x: np.ndarray, stacks: Iterable[np.ndarray]
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Forward ``count`` independent weight draws up to ``layer``.
+    """Batched forward pass over one (count, rows, cols) weight stack per layer.
 
-    Returns the (count, H_layer) matrix of tapped values and, when asked,
-    the (count,) vector of scatter-weighted previous-layer norms.
+    ``stacks`` is read lazily, so a generator that draws one layer at a time
+    keeps its random stream in layer order.  Returns the last layer's
+    pre-activations and the previous layer's post-activations (None for one
+    layer).  ``network.forward`` is the single-sample reference.
     """
-    act = config.activation
-    h: Optional[np.ndarray] = None  # post-activations of the previous layer
-    pre: np.ndarray
-    for l in range(1, layer + 1):
-        rows, cols = config.widths[l - 1], config.widths[l]
-        w = _weight_stack(config.priors[l - 1], rows, cols, rng, count)
-        if l == 1:
+    pre = h = None
+    for w in stacks:
+        if pre is None:
             pre = np.tensordot(w, x, axes=([1], [0]))
         else:
+            h = activation(pre)
             pre = np.matmul(h[:, None, :], w)[:, 0, :]
-        if l < layer:
-            h = act(pre)
-    norms = None
-    if want_norms:
-        q = config.priors[layer - 1].scatter_quadratic(h, config.widths[layer - 1])
-        norms = np.sqrt(q)
-    vals = pre if tap == "pre" else act(pre)
-    return vals, norms
+    return pre, h
 
 
 def _run_blocks(
@@ -211,6 +194,58 @@ def _run_blocks(
         list(ex.map(lambda t: job(*t), tasks))
 
 
+def _sample(
+    config: NetworkConfig, input: np.ndarray, layer: int, unit_pair, tap: str, n: int,
+    seed, replica: int, workers: int, want_norms: bool = False,
+) -> list[np.ndarray]:
+    """Checked block loop behind :func:`sample_layer` and :func:`sample_units`.
+
+    With no ``unit_pair`` it returns the (n, H_layer) matrix; with one, an
+    (n,) vector per unit, and the full matrix is never stored.  The
+    previous-layer norms follow as a last (n,) vector when ``want_norms``.
+    """
+    validate_config(config)
+    seed = _as_seed(seed)
+    if not 1 <= layer <= config.depth:
+        raise ValueError(f"layer {layer} out of range 1..{config.depth}")
+    widths = config.widths
+    width = widths[layer]
+    if unit_pair is not None:
+        j1, j2 = unit_pair
+        if j1 == j2:
+            raise ValueError("unit pair must name two distinct units")
+        if not (0 <= j1 < width and 0 <= j2 < width):
+            raise ValueError(f"unit indices {unit_pair} out of range for width {width}")
+    if tap not in ("pre", "post"):
+        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
+    if want_norms and layer < 2:
+        raise ValueError("previous-layer norms require layer >= 2")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    x = np.asarray(input, dtype=np.float64)
+    if x.shape != (widths[0],):
+        raise ValueError(f"input shape {x.shape} != ({widths[0]},)")
+    picks = [slice(None)] if unit_pair is None else [j1, j2]
+    outs = [np.empty((n, width) if unit_pair is None else n) for _ in picks]
+    if want_norms:
+        outs.append(np.empty(n))
+
+    def job(k: int, start: int, count: int) -> None:
+        rng = seed.weight_stream(replica, k)
+        stacks = (_weight_stack(config.priors[l - 1], widths[l - 1], widths[l], rng, count)
+                  for l in range(1, layer + 1))
+        pre, h = _forward_stacks(config.activation, x, stacks)
+        vals = pre if tap == "pre" else config.activation(pre)
+        for out, pick in zip(outs, picks):
+            out[start : start + count] = vals[:, pick]
+        if want_norms:
+            q = config.priors[layer - 1].scatter_quadratic(h, widths[layer - 1])
+            outs[-1][start : start + count] = np.sqrt(q)
+
+    _run_blocks(n, _block_size(config, layer), job, workers)
+    return outs
+
+
 def sample_layer(
     config: NetworkConfig,
     input: np.ndarray,
@@ -222,27 +257,7 @@ def sample_layer(
     workers: int = 1,
 ) -> np.ndarray:
     """(n, H_layer) matrix of one layer's tapped values over n prior draws."""
-    validate_config(config)
-    seed = _as_seed(seed)
-    if not 1 <= layer <= config.depth:
-        raise ValueError(f"layer {layer} out of range 1..{config.depth}")
-    if tap not in ("pre", "post"):
-        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    x = np.asarray(input, dtype=np.float64)
-    if x.shape != (config.widths[0],):
-        raise ValueError(f"input shape {x.shape} != ({config.widths[0]},)")
-    out = np.empty((n, config.widths[layer]))
-    block = _block_size(config, layer)
-
-    def job(k: int, start: int, count: int) -> None:
-        rng = seed.weight_stream(replica, k)
-        vals, _ = _layer_block(config, x, layer, tap, rng, count, want_norms=False)
-        out[start : start + count] = vals
-
-    _run_blocks(n, block, job, workers)
-    return out
+    return _sample(config, input, layer, None, tap, n, seed, replica, workers)[0]
 
 
 def sample_units(
@@ -258,41 +273,9 @@ def sample_units(
     workers: int = 1,
 ) -> SampleBatch:
     """n independent prior draws of two distinct units of one layer."""
-    validate_config(config)
-    seed = _as_seed(seed)
-    j1, j2 = unit_pair
-    if not 1 <= layer <= config.depth:
-        raise ValueError(f"layer {layer} out of range 1..{config.depth}")
-    if j1 == j2:
-        raise ValueError("unit pair must name two distinct units")
-    width = config.widths[layer]
-    if not (0 <= j1 < width and 0 <= j2 < width):
-        raise ValueError(f"unit indices {unit_pair} out of range for width {width}")
-    if tap not in ("pre", "post"):
-        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
-    if want_norms and layer < 2:
-        raise ValueError("previous-layer norms require layer >= 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    x = np.asarray(input, dtype=np.float64)
-    if x.shape != (config.widths[0],):
-        raise ValueError(f"input shape {x.shape} != ({config.widths[0]},)")
-
-    u = np.empty(n)
-    v = np.empty(n)
-    norms = np.empty(n) if want_norms else None
-    block = _block_size(config, layer)
-
-    def job(k: int, start: int, count: int) -> None:
-        rng = seed.weight_stream(replica, k)
-        vals, nm = _layer_block(config, x, layer, tap, rng, count, want_norms)
-        u[start : start + count] = vals[:, j1]
-        v[start : start + count] = vals[:, j2]
-        if want_norms:
-            norms[start : start + count] = nm
-
-    _run_blocks(n, block, job, workers)
-    return SampleBatch(u, v, layer, tap, config.priors[layer - 1], norms)
+    u, v, *norms = _sample(config, input, layer, unit_pair, tap, n, seed, replica, workers,
+                           want_norms)
+    return SampleBatch(u, v, layer, tap, config.priors[layer - 1], *norms)
 
 
 def sample_replicas(

@@ -10,7 +10,6 @@ from bnndep.network import (
     ConfigError,
     NetworkConfig,
     PriorSpec,
-    apply_activation,
     elu,
     forward,
     uniform_config,
@@ -20,20 +19,20 @@ from bnndep.network import (
 
 class TestActivations:
     def test_relu_clamps(self):
-        assert apply_activation(RELU, -2.0) == 0.0
-        assert apply_activation(RELU, 3.0) == 3.0
+        assert float(RELU(-2.0)) == 0.0
+        assert float(RELU(3.0)) == 3.0
 
     def test_elu_continuous_at_zero(self):
-        assert apply_activation(elu(1.0), 0.0) == 0.0
-        assert apply_activation(elu(1.0), 2.0) == 2.0
-        assert apply_activation(elu(2.0), -1.0) == pytest.approx(2.0 * np.expm1(-1.0))
+        assert float(elu(1.0)(0.0)) == 0.0
+        assert float(elu(1.0)(2.0)) == 2.0
+        assert float(elu(2.0)(-1.0)) == pytest.approx(2.0 * np.expm1(-1.0))
 
     def test_sigmoid_symmetry_point(self):
-        assert apply_activation(SIGMOID, 0.0) == 0.5
+        assert float(SIGMOID(0.0)) == 0.5
 
     def test_tanh_identity(self):
-        assert apply_activation(TANH, 0.0) == 0.0
-        assert apply_activation(IDENTITY, -7.5) == -7.5
+        assert float(TANH(0.0)) == 0.0
+        assert float(IDENTITY(-7.5)) == -7.5
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from bnndep.network import IDENTITY, RELU, PriorSpec, uniform_config
+from bnndep.network import IDENTITY, RELU, TANH, PriorSpec, forward, uniform_config
 from bnndep.sampling import (
     ReplicaBatch,
     SampleBatch,
     SeedSpec,
+    _block_size,
+    _weight_stack,
     generate_input,
     sample_layer,
     sample_replicas,
@@ -189,3 +191,34 @@ class TestSampleLayer:
     def test_shape(self, small_setup):
         x, cfg = small_setup
         assert sample_layer(cfg, x, 1, 17, SeedSpec(2)).shape == (17, 3)
+
+
+class TestBatchedForward:
+    """The sampler's batched forward pass against ``network.forward``, draw by draw."""
+
+    @pytest.mark.parametrize("tap", ["pre", "post"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("prior", [
+        PriorSpec(),
+        PriorSpec(family="equicorrelated", rho=0.3),
+        PriorSpec(family="student_t", nu=3.0),
+    ], ids=["gaussian", "equicorrelated", "student_t"])
+    def test_matches_single_sample_forward(self, prior, depth, tap):
+        n, seed = 5, SeedSpec(19)
+        x = generate_input(6, seed)
+        cfg = uniform_config(6, 4, depth, TANH, prior)
+        got = sample_layer(cfg, x, depth, n, seed, tap)
+        batch = sample_units(cfg, x, depth, (2, 0), tap, n, seed, want_norms=depth > 1)
+        # all n draws fit in block 0, whose stream yields one weight stack per layer
+        assert n <= _block_size(cfg, depth)
+        rng = seed.weight_stream(0, 0)
+        stacks = [_weight_stack(prior, cfg.widths[l - 1], cfg.widths[l], rng, n)
+                  for l in range(1, depth + 1)]
+        for i in range(n):
+            ref = forward(cfg, [w[i] for w in stacks], x)
+            want = ref.pre[-1] if tap == "pre" else ref.post[-1]
+            assert np.allclose(got[i], want, rtol=1e-12, atol=1e-12)
+            assert (batch.u[i], batch.v[i]) == (got[i, 2], got[i, 0])
+            if depth > 1:
+                norm = np.sqrt(prior.scatter_quadratic(ref.post[-2], cfg.widths[depth - 1]))
+                assert batch.prev_norms[i] == pytest.approx(norm, rel=1e-12)
