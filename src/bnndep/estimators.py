@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr, stdtr
 from scipy.stats import rankdata
 
-from .network import GAUSSIAN_EQUICORRELATED, GAUSSIAN_IID, STUDENT_T, PriorSpec
+from .network import GAUSSIAN_EQUICORRELATED, GAUSSIAN_IID, STUDENT_T, PriorSpec, _finite
 from .sampling import ReplicaBatch, SampleBatch
 
 UPPER = "upper"
@@ -109,6 +109,8 @@ def _delta_xy(u: np.ndarray, v: np.ndarray, z1: float, z2: float, tail: str) -> 
     n = u.shape[0]
     if n < 2:
         raise ValueError("exceedance-difference estimation needs n >= 2")
+    if not _finite(u, v, z1, z2):
+        raise ValueError("samples and thresholds must be finite")
     if tail == UPPER:
         m1, m2 = u >= z1, v >= z2
     elif tail == LOWER:
@@ -177,6 +179,8 @@ def delta_grid(
     n = u.shape[0]
     if n < 2:
         raise ValueError("exceedance-difference estimation needs n >= 2")
+    if not _finite(u, v, z1, z2):
+        raise ValueError("samples and thresholds must be finite")
     if tail not in (UPPER, LOWER):
         raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
 
@@ -301,6 +305,8 @@ def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     n = u.shape[0]
     if n < 2:
         raise ValueError("concordance estimation needs n >= 2")
+    if not _finite(u, v):
+        raise ValueError("concordance estimation needs finite samples")
     order = np.lexsort((v, u))
     us, vs = u[order], v[order]
     discordant = _strict_inversions(vs)
@@ -323,6 +329,8 @@ def spearman_rho_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     n = u.shape[0]
     if n < 2:
         raise ValueError("concordance estimation needs n >= 2")
+    if not _finite(u, v):
+        raise ValueError("concordance estimation needs finite samples")
     ra = rankdata(u, method="average")
     rb = rankdata(v, method="average")
     ac = ra - ra.mean()

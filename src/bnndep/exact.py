@@ -8,6 +8,7 @@ denominator and only converts to floating point at the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ class DiscreteNetSpec:
             raise ValueError("input length must equal the input width")
         if len(self.support_values) != len(self.support_weights):
             raise ValueError("support values and weights must align")
-        if any(w <= 0 for w in self.support_weights):
+        if not all(isinstance(w, (int, np.integer)) and w > 0 for w in self.support_weights):
             raise ValueError("support weights must be positive integers")
         if set(self.support_values) != {-v for v in self.support_values}:
             raise ValueError("support must be symmetric about zero")
@@ -92,7 +93,13 @@ def enumerate_exact_delta(
         raise ValueError(f"{total} configurations exceed the enumeration bound")
 
     values = np.asarray(spec.support_values, dtype=np.float64)
-    wts = np.asarray(spec.support_weights, dtype=np.int64)
+    # in lowest terms every partial sum is at most sum(weights)**m, which must fit int64
+    g = math.gcd(*spec.support_weights)
+    reduced = [int(w) // g for w in spec.support_weights]
+    denom = sum(reduced) ** m
+    if denom >= 2**63:
+        raise ValueError("support weights too large: sum(weights)**m reaches 2**63")
+    wts = np.asarray(reduced, dtype=np.int64)
     radix = k ** np.arange(m, dtype=np.int64)
 
     c11 = c1 = c2 = 0
@@ -110,7 +117,6 @@ def enumerate_exact_delta(
         c1 += int(weight[m1].sum())
         c2 += int(weight[m2].sum())
 
-    denom = int(wts.sum()) ** m
     return Fraction(c11, denom) - Fraction(c1 * c2, denom * denom)
 
 

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import estimators as est
 from . import exact
-from .network import IDENTITY, RELU, Activation, PriorSpec, uniform_config
+from .network import IDENTITY, RELU, Activation, PriorSpec, _finite, uniform_config
 from .sampling import (
+    SampleBatch,
     SeedSpec,
     generate_input,
     sample_layer,
@@ -27,6 +29,13 @@ from .sampling import (
 )
 
 _EPS = 1e-12
+
+# Family-wise false-alarm rate of a null test over all cells of its grids,
+# fixed in advance rather than tuned to data; perfbench's sign-rule check
+# uses the same rate.
+GRID_NULL_ALPHA = 1e-3
+# Equal blocks behind the batch-means SE of the zero-concordance test.
+NULL_BLOCKS = 100
 
 
 @dataclass(frozen=True)
@@ -38,8 +47,8 @@ class GridRange:
     def values(self) -> np.ndarray:
         if self.steps < 2:
             raise ValueError("grid needs at least 2 steps")
-        if not self.lo < self.hi:
-            raise ValueError("grid lo must be below hi")
+        if not (_finite(self.lo, self.hi) and self.lo < self.hi):
+            raise ValueError(f"grid needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
         return np.linspace(self.lo, self.hi, self.steps)
 
 
@@ -204,6 +213,32 @@ def _within(value: float, std_error: float, target: float = 0.0) -> bool:
     return abs(value - target) <= 4.0 * std_error
 
 
+def _grid_null(grids: list[est.DeltaGrid]) -> tuple[bool, dict]:
+    """Every cell within the two-sided Bonferroni bound at GRID_NULL_ALPHA over all cells."""
+    threshold = float(ndtri(1.0 - GRID_NULL_ALPHA / (2 * sum(g.value.size for g in grids))))
+    max_ratio = max(float((np.abs(g.value) / np.maximum(g.std_error, _EPS)).max())
+                    for g in grids)
+    return max_ratio <= threshold, {"max_cell_ratio": max_ratio, "cell_threshold": threshold}
+
+
+def _concordance_null(batch: SampleBatch) -> tuple[bool, dict]:
+    """Tau and rho within 4 batch-means SEs of zero.
+
+    The batch-means SE is the statistic's spread over NULL_BLOCKS equal blocks
+    over sqrt(NULL_BLOCKS).  Unlike the estimators' SEs, which hold only for
+    independent units, it also holds for uncorrelated but dependent ones.
+    """
+    ok, detail = True, {}
+    for name, estimate in (("tau", est.kendall_tau_arrays), ("rho", est.spearman_rho_arrays)):
+        blocks = zip(np.array_split(batch.u, NULL_BLOCKS), np.array_split(batch.v, NULL_BLOCKS))
+        spread = np.std([estimate(a, b).value for a, b in blocks], ddof=1)
+        se = float(spread / np.sqrt(NULL_BLOCKS))
+        value = estimate(batch.u, batch.v).value
+        ok = ok and _within(value, se)
+        detail.update({name: value, f"{name}_bound": 4 * se})
+    return ok, detail
+
+
 _ORIGIN_TARGETS = {h: exact.analytic_delta_zero(h) for h in (2, 5, 10)}
 
 
@@ -251,22 +286,17 @@ def acceptance_suite(
         depths=(1,), input_dim=input_dim, n=n, grid=grid,
         master_seed=master_seed, workers=workers,
     ))
-    max_ratio = 0.0
-    for cell in l1.values():
-        ratios = np.abs(cell.grid.value) / np.maximum(cell.grid.std_error, _EPS)
-        max_ratio = max(max_ratio, float(ratios.max()))
+    ok2, det2 = _grid_null([cell.grid for cell in l1.values()])
     config_l1 = uniform_config(input_dim, 5, 1)
     batch_l1 = sample_units(config_l1, x, 1, (0, 1), "pre", n, seed.child(2), workers=workers)
     tau = est.kendall_tau(batch_l1)
     rho = est.spearman_rho(batch_l1)
-    ok2 = (max_ratio <= 4.0 and _within(tau.value, tau.std_error)
-           and _within(rho.value, rho.std_error))
+    # layer-1 units are independent, so the estimators' null SEs hold here
+    ok2 = ok2 and _within(tau.value, tau.std_error) and _within(rho.value, rho.std_error)
+    det2.update({"tau": tau.value, "tau_bound": 4 * tau.std_error,
+                 "rho": rho.value, "rho_bound": 4 * rho.std_error})
     results.append(CriterionResult(
-        2, "first-layer grids and concordance are null",
-        _status(ok2),
-        _py({"max_cell_ratio": max_ratio, "tau": tau.value, "tau_bound": 4 * tau.std_error,
-             "rho": rho.value, "rho_bound": 4 * rho.std_error}),
-    ))
+        2, "first-layer grids and concordance are null", _status(ok2), _py(det2)))
 
     # 3-4: origin value matches the dead-layer closed form, at three scales
     def origin_check(sigma0: float, label: int) -> tuple[bool, dict]:
@@ -322,13 +352,8 @@ def acceptance_suite(
         for layer in (2, 3):
             batch = sample_units(config, x, layer, (0, 1), "pre", n,
                                  seed.child(6, ai, layer), workers=workers)
-            tau = est.kendall_tau(batch)
-            rho = est.spearman_rho(batch)
-            ok6 = (ok6 and _within(tau.value, tau.std_error)
-                   and _within(rho.value, rho.std_error))
-            det6[f"{act.kind}_layer{layer}"] = {
-                "tau": tau.value, "tau_bound": 4 * tau.std_error,
-                "rho": rho.value, "rho_bound": 4 * rho.std_error}
+            ok, det6[f"{act.kind}_layer{layer}"] = _concordance_null(batch)
+            ok6 = ok6 and ok
     results.append(CriterionResult(
         6, "zero concordance beyond the first layer", _status(ok6), _py(det6)))
 

@@ -19,6 +19,11 @@ class ConfigError(ValueError):
     """Raised when a network or prior configuration violates its invariants."""
 
 
+def _finite(*values) -> bool:
+    """Whether every entry of every value is a finite number; the one finite check."""
+    return all(np.all(np.isfinite(v)) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # Activations
 # ---------------------------------------------------------------------------
@@ -106,8 +111,8 @@ class PriorSpec:
             raise ConfigError(f"unknown prior family {self.family!r}")
         if self.scale_mode not in _SCALE_MODES:
             raise ConfigError(f"unknown scale mode {self.scale_mode!r}")
-        if not self.sigma0 > 0:
-            raise ConfigError(f"sigma0 must be positive, got {self.sigma0}")
+        if not (self.sigma0 > 0 and _finite(self.sigma0)):
+            raise ConfigError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if self.family == GAUSSIAN_EQUICORRELATED:
             lo = -1.0 / (fan_in - 1) if fan_in > 1 else -np.inf
             if not (lo < self.rho < 1.0):
@@ -115,8 +120,8 @@ class PriorSpec:
                     f"equicorrelated rho={self.rho} outside positive-definite "
                     f"range ({lo}, 1) for fan-in {fan_in}"
                 )
-        if self.family == STUDENT_T and not self.nu > 2:
-            raise ConfigError(f"student_t nu must exceed 2, got {self.nu}")
+        if self.family == STUDENT_T and not (self.nu > 2 and _finite(self.nu)):
+            raise ConfigError(f"student_t nu must be finite and exceed 2, got {self.nu}")
 
     def column_std(self, fan_in: int) -> float:
         if self.scale_mode == FAN_IN:

@@ -20,6 +20,7 @@ import numpy as np
 from .network import (
     GAUSSIAN_EQUICORRELATED,
     STUDENT_T,
+    Activation,
     NetworkConfig,
     PriorSpec,
     validate_config,
@@ -158,7 +159,7 @@ def _block_size(config: NetworkConfig, layer: int) -> int:
 
 
 def _forward_stacks(
-    activation, x: np.ndarray, stacks: Iterable[np.ndarray]
+    activation: Activation, x: np.ndarray, stacks: Iterable[np.ndarray]
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Batched forward pass over one (count, rows, cols) weight stack per layer.
 

@@ -40,6 +40,16 @@ class TestKendallHandValues:
             kendall_tau(make_batch([1], [1]))
 
 
+    @pytest.mark.parametrize("estimator", [kendall_tau_arrays, spearman_rho_arrays])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, estimator, bad):
+        u, v = np.array([0.0, 1.0, 2.0]), np.array([0.0, bad, 1.0])
+        with pytest.raises(ValueError):
+            estimator(u, v)
+        with pytest.raises(ValueError):
+            estimator(v, u)
+
+
 class TestSpearmanHandValues:
     def test_identical_rankings(self):
         assert spearman_rho(make_batch([1, 2, 3], [1, 2, 3])).value == pytest.approx(1.0)

@@ -51,6 +51,15 @@ class TestDeltaHandValues:
         with pytest.raises(ValueError):
             delta_upper(make_batch([1.0], [1.0]), 0, 0)
 
+    @pytest.mark.parametrize("estimator", [delta_upper, delta_lower])
+    def test_non_finite_input_rejected(self, estimator):
+        with pytest.raises(ValueError):
+            estimator(make_batch([np.nan, -1, 1, 0.5], [1, -1, 1, -0.5]), 0.0, 0.0)
+        with pytest.raises(ValueError):
+            estimator(make_batch([0, -1, 1, 0.5], [1, -1, np.inf, -0.5]), 0.0, 0.0)
+        with pytest.raises(ValueError):
+            estimator(FOUR_CORNERS, np.nan, 0.0)
+
     def test_weak_inequality_includes_atoms(self):
         batch = make_batch([0.0, 0.0, 1.0, -1.0], [0.0, 1.0, 0.0, -1.0])
         e = delta_upper(batch, 0.0, 0.0)
@@ -324,6 +333,17 @@ class TestDeltaGrid:
             delta_grid(batch, [0.0, 0.0], [0.0])
         with pytest.raises(ValueError):
             delta_grid(batch, [1.0, 0.0], [0.0])
+
+    @pytest.mark.parametrize("tail", [UPPER, LOWER])
+    def test_non_finite_input_rejected(self, tail):
+        # a NaN sample would exceed every grid threshold and no scalar one,
+        # so the grid and delta_upper would disagree at (0, 0)
+        with pytest.raises(ValueError):
+            delta_grid(make_batch([np.nan, -1, 1, 0.5], [1, -1, 1, -0.5]), [0.0], [0.0], tail)
+        batch = make_batch([1, 2, 3], [1, 2, 3])
+        for z1, z2 in (([0.0, np.nan], [0.0]), ([0.0], [np.nan]), ([-np.inf, 0.0], [0.0])):
+            with pytest.raises(ValueError):
+                delta_grid(batch, z1, z2, tail)
 
     def test_replica_grid_matches_scalar_combo(self):
         rng = np.random.default_rng(14)

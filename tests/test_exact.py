@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,32 @@ class TestEnumeration:
         )
         val = enumerate_exact_delta(spec, 1, (0, 1), 0.0, 0.0)
         assert val == 0  # first layer units are independent
+
+    @pytest.mark.parametrize("weights", [(1, 0), (1.0, 1.0), (0.5, 0.5)])
+    def test_non_integer_or_non_positive_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            DiscreteNetSpec(widths=(1, 2), input=(1.0,), support_weights=weights)
+
+    @pytest.mark.parametrize("factor", [3, 10**6])
+    def test_common_weight_factor_cancels(self, factor):
+        base = DiscreteNetSpec(
+            widths=(1, 1, 2), input=(1.0,),
+            support_values=(-2.0, -1.0, 1.0, 2.0), support_weights=(1, 2, 2, 1),
+        )
+        scaled = dataclasses.replace(
+            base, support_weights=tuple(factor * w for w in base.support_weights))
+        for z1, z2 in ((0.0, 0.0), (1.5, -0.5), (-1.0, -1.0)):
+            assert (enumerate_exact_delta(scaled, 2, (0, 1), z1, z2)
+                    == enumerate_exact_delta(base, 2, (0, 1), z1, z2))
+        # unreduced, (2 * 10**7) ** 3 overflows int64; in lowest terms the weights are (1, 1)
+        toy = dataclasses.replace(toy_relu_net(), support_weights=(10**7, 10**7))
+        assert enumerate_exact_delta(toy, 2, (0, 1), 0.0, 0.0) == Fraction(1, 16)
+
+    def test_irreducible_overflowing_weights_rejected(self):
+        # gcd 1 and (2 * 10**7 + 1) ** 3 >= 2 ** 63: int64 cannot hold the sums
+        toy = dataclasses.replace(toy_relu_net(), support_weights=(10**7, 10**7 + 1))
+        with pytest.raises(ValueError):
+            enumerate_exact_delta(toy, 2, (0, 1), 0.0, 0.0)
 
 
 class TestAnalyticDeltaZero:

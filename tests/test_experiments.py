@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bnndep.experiments as experiments
-from bnndep.estimators import DeltaGrid
+from bnndep.estimators import DeltaGrid, kendall_tau
 from bnndep.experiments import (
     GridRange,
     SweepSpec,
@@ -12,6 +12,8 @@ from bnndep.experiments import (
     summarize,
     theoretical_sign,
 )
+from bnndep.network import PriorSpec, uniform_config
+from bnndep.sampling import SampleBatch, SeedSpec, generate_input, sample_units
 
 
 def hand_grid():
@@ -38,6 +40,11 @@ class TestTheoreticalSign:
         assert theoretical_sign(0.0, 0.0) == 1
         assert theoretical_sign(0.0, -1.0) == 1
         assert theoretical_sign(0.0, 1.0) == -1
+
+    def test_broadcasts_over_arrays(self):
+        z = np.array([-1.0, 0.0, 1.0])
+        assert np.array_equal(theoretical_sign(z[:, None], z[None, :]),
+                              [[1, 1, -1], [1, 1, -1], [-1, -1, 1]])
 
 
 class TestSummarize:
@@ -82,6 +89,12 @@ class TestGridRange:
             GridRange(-1.0, 1.0, 1).values()
         with pytest.raises(ValueError):
             GridRange(1.0, -1.0, 5).values()
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_non_finite_rejected(self, lo, hi):
+        # linspace over an infinite range yields NaN thresholds
+        with pytest.raises(ValueError):
+            GridRange(lo, hi, 3).values()
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +169,60 @@ class TestQuadrantViolations:
         # insignificant cells never count
         grid2 = DeltaGrid(z, z, value, np.full((2, 2), 1.0), 100)
         assert quadrant_sign_violations(grid2) == 0
+
+
+# master seeds of perfbench's selftest workload at --seed 21 and 24, whose
+# null data fail criterion 6 with the estimators' independence-null SEs and
+# criterion 2 with a 4-SE cell rule that ignores multiplicity
+SELFTEST_SEED_21 = 1012269760
+SELFTEST_SEED_24 = 1550323760
+
+
+@pytest.fixture(scope="module")
+def layer1_grids():
+    spec = SweepSpec(depths=(1,), n=20_000, master_seed=SELFTEST_SEED_24, workers=2)
+    return [cell.grid for cell in run_sweep(spec).values()]
+
+
+class TestGridNull:
+    """Criterion 2's grid test: family-wise level, with power against dependence."""
+
+    def test_null_grids_pass_at_bonferroni_threshold(self, layer1_grids):
+        ok, detail = experiments._grid_null(layer1_grids)
+        # 3 x 41 x 41 cells at family-wise 1e-3, two-sided
+        assert detail["cell_threshold"] == pytest.approx(5.2009, abs=1e-4)
+        # the largest cell here read 4.12 SE, beyond an uncorrected 4-SE rule
+        assert ok
+
+    def test_dependent_grid_fails(self, layer1_grids):
+        spec = SweepSpec(depths=(2,), widths=(2,), n=20_000, master_seed=SELFTEST_SEED_24)
+        l2h2 = run_sweep(spec)[(2, 2)].grid
+        assert not experiments._grid_null([l2h2] + layer1_grids[1:])[0]
+
+    def test_single_planted_cell_fails(self, layer1_grids):
+        g = layer1_grids[0]
+        value = g.value.copy()
+        value[20, 20] = 5.3 * g.std_error[20, 20]
+        planted = DeltaGrid(g.z1_values, g.z2_values, value, g.std_error, g.n)
+        assert not experiments._grid_null([planted] + layer1_grids[1:])[0]
+
+
+class TestConcordanceNull:
+    """Criterion 6's test: an SE that holds for dependent units, with power."""
+
+    def test_dependent_null_units_pass(self):
+        # ReLU layer 3 of criterion 6 at selftest seed 21, where tau read -4.10
+        # of the estimator's independence-null SEs
+        seed = SeedSpec(SELFTEST_SEED_21)
+        config = uniform_config(100, 5, 3)
+        batch = sample_units(config, generate_input(100, seed), 3, (0, 1), "pre", 20_000,
+                             seed.child(6, 0, 3), workers=2)
+        ok, detail = experiments._concordance_null(batch)
+        assert ok and detail["tau"] == kendall_tau(batch).value
+
+    def test_planted_concordance_fails(self):
+        rng = np.random.default_rng(3)
+        u, noise = rng.standard_normal((2, 20_000))
+        assert experiments._concordance_null(SampleBatch(u, noise, 2, "pre", PriorSpec()))[0]
+        planted = SampleBatch(u, u + 10.0 * noise, 2, "pre", PriorSpec())
+        assert not experiments._concordance_null(planted)[0]

@@ -91,6 +91,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(NetworkConfig((4, 2), RELU, (PriorSpec(sigma0=0.0),)))
 
+    @pytest.mark.parametrize("prior", [
+        PriorSpec(sigma0=np.inf),
+        PriorSpec(sigma0=np.nan),
+        PriorSpec(family="student_t", nu=np.inf),
+    ], ids=["sigma0_inf", "sigma0_nan", "student_t_nu_inf"])
+    def test_non_finite_rejected(self, prior):
+        with pytest.raises(ConfigError):
+            validate_config(NetworkConfig((4, 2), RELU, (prior,)))
+
 
 class TestForward:
     def test_single_layer_identity_matvec(self):
