@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimators import LOWER, UPPER
 from .network import RELU, Activation, PriorSpec
-from .sampling import STREAM_DISCRETE, SampleBatch, _as_seed, _forward_stacks
+from .sampling import STREAM_DISCRETE, SampleBatch, _as_seed
 
 MAX_CONFIGURATIONS = 1 << 24
 _CHUNK = 1 << 16
@@ -58,11 +58,14 @@ def toy_relu_net() -> DiscreteNetSpec:
 
 
 def _last_pre(spec: DiscreteNetSpec, weight_values: np.ndarray, layer: int) -> np.ndarray:
-    """Layer ``layer`` pre-activations of a (count, m) matrix of flat weight draws."""
+    """Layer ``layer`` pre-activations of (count, m) flat weight draws, as ``network.forward``."""
     shapes = list(zip(spec.widths[:layer], spec.widths[1 : layer + 1]))
     flat = np.split(weight_values, np.cumsum([r * c for r, c in shapes])[:-1], axis=1)
-    stacks = (w.reshape(-1, r, c) for w, (r, c) in zip(flat, shapes))
-    return _forward_stacks(spec.activation, np.asarray(spec.input, dtype=np.float64), stacks)[0]
+    h = np.asarray(spec.input, dtype=np.float64)[None, :]
+    for w, (r, c) in zip(flat, shapes):
+        pre = np.matmul(h[:, None, :], w.reshape(-1, r, c))[:, 0, :]
+        h = spec.activation(pre)
+    return pre
 
 
 def enumerate_exact_delta(

@@ -1,26 +1,27 @@
 """Deterministic Monte Carlo sampling of network priors.
 
-Draws are organized in fixed-size blocks of samples.  Each block owns a
-private counter-based random stream keyed by (master seed, stream label,
-replica, block index), so any number of worker threads can fill disjoint
-blocks and the result is a pure function of (config, input, seed, n) --
-independent of thread count and scheduling.  The block size itself is a
-deterministic function of the weight volume per sample, never a tuning
-knob.
+Each layer is sampled by its elliptical projection rather than through its
+weights: given the previous layer's output h, the pre-activations of the
+layer's units are i.i.d. ``sqrt(h' Sigma h) * xi``, with xi standard normal
+for the Gaussian families and Student-t for ``student_t`` (Cambanis, Huang
+& Simons 1981).  Draws are organized in fixed-size blocks of samples.  Each
+block owns a private counter-based random stream keyed by (master seed,
+stream label, replica, block index), so any number of worker threads can
+fill disjoint blocks and the result is a pure function of (config, input,
+seed, n) -- independent of thread count and scheduling.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .network import (
     GAUSSIAN_EQUICORRELATED,
     STUDENT_T,
-    Activation,
     NetworkConfig,
     PriorSpec,
     validate_config,
@@ -31,10 +32,9 @@ STREAM_INPUT = 0
 STREAM_WEIGHTS = 1
 STREAM_DISCRETE = 2
 
-# Doubles of weight storage targeted per block; keeps peak memory bounded
-# while amortizing per-block RNG setup.
-_BLOCK_BUDGET = 1 << 22
-_BLOCK_CAP = 4096
+# Samples per block.  Fixed, so a depth-l draw is the exact prefix of a
+# depth-L draw from the same seed.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -118,74 +118,34 @@ def generate_input(dim: int, seed) -> np.ndarray:
     return _as_seed(seed).input_stream().standard_normal(dim)
 
 
-def _weight_stack(
-    spec: PriorSpec, rows: int, cols: int, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """``count`` independent draws of a (rows, cols) weight matrix.
-
-    Columns are mutually independent within each draw; the equicorrelated
-    family mixes in the column mean, the student_t family divides each
-    Gaussian column by an independent chi-square mixing variable.
-    """
-    z = rng.standard_normal((count, rows, cols))
-    if spec.family == GAUSSIAN_EQUICORRELATED and rows > 1 and spec.rho != 0.0:
-        a = np.sqrt(1.0 - spec.rho)
-        shift = np.sqrt(1.0 + (rows - 1) * spec.rho) - a
-        z = a * z + shift * z.mean(axis=1, keepdims=True)
-    z *= spec.column_std(rows)
-    if spec.family == STUDENT_T:
-        mix = rng.chisquare(spec.nu, (count, 1, cols))
-        z *= np.sqrt(spec.nu / mix)
-    return z
-
-
 def sample_weight_matrix(
     spec: PriorSpec, rows: int, cols: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One (rows, cols) weight matrix drawn from ``spec``."""
+    """One (rows, cols) weight matrix drawn from ``spec``; the sampler's test reference.
+
+    Columns are mutually independent; the equicorrelated family mixes in
+    the column mean, the student_t family divides each Gaussian column by an
+    independent chi-square mixing variable.
+    """
     spec.validate(rows)
-    return _weight_stack(spec, rows, cols, rng, 1)[0]
+    w = rng.standard_normal((rows, cols))
+    if spec.family == GAUSSIAN_EQUICORRELATED and rows > 1 and spec.rho != 0.0:
+        a = np.sqrt(1.0 - spec.rho)
+        shift = np.sqrt(1.0 + (rows - 1) * spec.rho) - a
+        w = a * w + shift * w.mean(axis=0, keepdims=True)
+    w *= spec.column_std(rows)
+    if spec.family == STUDENT_T:
+        w *= np.sqrt(spec.nu / rng.chisquare(spec.nu, (1, cols)))
+    return w
 
 
 # ---------------------------------------------------------------------------
 # Block engine
 # ---------------------------------------------------------------------------
 
-def _block_size(config: NetworkConfig, layer: int) -> int:
-    weights_per_sample = sum(
-        config.widths[l - 1] * config.widths[l] for l in range(1, layer + 1)
-    )
-    return int(min(_BLOCK_CAP, max(1, _BLOCK_BUDGET // weights_per_sample)))
-
-
-def _forward_stacks(
-    activation: Activation, x: np.ndarray, stacks: Iterable[np.ndarray]
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Batched forward pass over one (count, rows, cols) weight stack per layer.
-
-    ``stacks`` is read lazily, so a generator that draws one layer at a time
-    keeps its random stream in layer order.  Returns the last layer's
-    pre-activations and the previous layer's post-activations (None for one
-    layer).  ``network.forward`` is the single-sample reference.
-    """
-    pre = h = None
-    for w in stacks:
-        if pre is None:
-            pre = np.tensordot(w, x, axes=([1], [0]))
-        else:
-            h = activation(pre)
-            pre = np.matmul(h[:, None, :], w)[:, 0, :]
-    return pre, h
-
-
-def _run_blocks(
-    n: int,
-    block: int,
-    job: Callable[[int, int, int], None],
-    workers: int,
-) -> None:
+def _run_blocks(n: int, job: Callable[[int, int, int], None], workers: int) -> None:
     """Invoke ``job(block_index, start, count)`` for every block of [0, n)."""
-    tasks = [(k, k * block, min(block, n - k * block)) for k in range((n + block - 1) // block)]
+    tasks = [(k, start, min(_BLOCK, n - start)) for k, start in enumerate(range(0, n, _BLOCK))]
     if workers <= 1 or len(tasks) <= 1:
         for t in tasks:
             job(*t)
@@ -233,17 +193,21 @@ def _sample(
 
     def job(k: int, start: int, count: int) -> None:
         rng = seed.weight_stream(replica, k)
-        stacks = (_weight_stack(config.priors[l - 1], widths[l - 1], widths[l], rng, count)
-                  for l in range(1, layer + 1))
-        pre, h = _forward_stacks(config.activation, x, stacks)
-        vals = pre if tap == "pre" else config.activation(pre)
+        h = x[None, :]
+        for prior, fan_in, units in zip(config.priors[:layer], widths, widths[1:]):
+            norm = np.sqrt(prior.scatter_quadratic(h, fan_in))
+            pre = rng.standard_normal((count, units))
+            if prior.family == STUDENT_T:
+                pre *= np.sqrt(prior.nu / rng.chisquare(prior.nu, pre.shape))
+            pre *= norm[:, None]
+            h = config.activation(pre)
+        vals = pre if tap == "pre" else h
         for out, pick in zip(outs, picks):
             out[start : start + count] = vals[:, pick]
         if want_norms:
-            q = config.priors[layer - 1].scatter_quadratic(h, widths[layer - 1])
-            outs[-1][start : start + count] = np.sqrt(q)
+            outs[-1][start : start + count] = norm
 
-    _run_blocks(n, _block_size(config, layer), job, workers)
+    _run_blocks(n, job, workers)
     return outs
 
 

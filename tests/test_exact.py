@@ -7,13 +7,14 @@ import pytest
 from bnndep.estimators import delta_upper
 from bnndep.exact import (
     DiscreteNetSpec,
+    _last_pre,
     analytic_delta_zero,
     analytic_delta_zero_z,
     enumerate_exact_delta,
     sample_discrete_net,
     toy_relu_net,
 )
-from bnndep.network import IDENTITY
+from bnndep.network import IDENTITY, TANH, NetworkConfig, forward
 
 
 class TestEnumeration:
@@ -142,3 +143,19 @@ class TestDiscreteMonteCarlo:
         toy = toy_relu_net()
         batch = sample_discrete_net(toy, 2, (0, 1), "pre", 1000, 4)
         assert set(np.unique(batch.u)) <= {-1.0, 0.0, 1.0}
+
+
+class TestDiscreteForward:
+    def test_matches_network_forward_draw_by_draw(self):
+        spec = DiscreteNetSpec(widths=(3, 4, 2, 3), input=(0.5, -1.0, 2.0), activation=TANH)
+        rng = np.random.default_rng(7)
+        for layer in (1, 2, 3):
+            cfg = NetworkConfig(spec.widths[: layer + 1], spec.activation)
+            draws = rng.standard_normal((6, spec.weight_count(layer)))
+            got = _last_pre(spec, draws, layer)
+            for row, flat in zip(got, draws):
+                shapes = list(zip(cfg.widths, cfg.widths[1:]))
+                parts = np.split(flat, np.cumsum([r * c for r, c in shapes])[:-1])
+                weights = [w.reshape(r, c) for w, (r, c) in zip(parts, shapes)]
+                want = forward(cfg, weights, np.array(spec.input)).pre[-1]
+                assert np.allclose(row, want, rtol=1e-12, atol=1e-12)

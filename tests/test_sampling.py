@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+import bnndep.sampling as sampling
 from bnndep.network import IDENTITY, RELU, TANH, PriorSpec, forward, uniform_config
 from bnndep.sampling import (
     ReplicaBatch,
     SampleBatch,
     SeedSpec,
-    _block_size,
-    _weight_stack,
     generate_input,
     sample_layer,
     sample_replicas,
@@ -144,13 +144,23 @@ class TestPrevNorms:
         assert abs(p_hat - 0.25) < 4 * np.sqrt(0.25 * 0.75 / n)
 
     def test_iid_norm_matches_direct_computation(self):
+        # a depth-(L-1) draw is the exact prefix of a depth-L draw from the same
+        # seed, so its outputs give each draw's previous-layer norm directly;
+        # n spans two sample blocks
         x = generate_input(12, SeedSpec(21))
-        sigma0 = 2.0
-        cfg = uniform_config(12, 3, 2, RELU, PriorSpec(sigma0=sigma0))
-        batch = sample_units(cfg, x, 2, (0, 1), "pre", 50, SeedSpec(21), want_norms=True)
-        layer1 = sample_layer(cfg, x, 1, 50, SeedSpec(21), tap="post")
-        expected = sigma0 / np.sqrt(3) * np.linalg.norm(layer1, axis=1)
-        assert np.allclose(batch.prev_norms, expected, rtol=1e-12)
+        sigma0, rho, n = 2.0, 0.3, 5000
+        for prior in (PriorSpec(sigma0=sigma0),
+                      PriorSpec(family="equicorrelated", sigma0=sigma0, rho=rho),
+                      PriorSpec(family="student_t", sigma0=sigma0, nu=3.0)):
+            for depth in (2, 3):
+                cfg = uniform_config(12, 3, depth, RELU, prior)
+                batch = sample_units(cfg, x, depth, (0, 1), "pre", n, SeedSpec(21),
+                                     want_norms=True)
+                h = sample_layer(cfg, x, depth - 1, n, SeedSpec(21), tap="post")
+                q = sigma0**2 / 3 * np.sum(h**2, axis=1)
+                if prior.family == "equicorrelated":
+                    q = sigma0**2 / 3 * ((1 - rho) * np.sum(h**2, axis=1) + rho * h.sum(axis=1)**2)
+                assert np.allclose(batch.prev_norms, np.sqrt(q), rtol=1e-12, atol=0.0)
 
 
 class TestReplicas:
@@ -193,32 +203,77 @@ class TestSampleLayer:
         assert sample_layer(cfg, x, 1, 17, SeedSpec(2)).shape == (17, 3)
 
 
-class TestBatchedForward:
-    """The sampler's batched forward pass against ``network.forward``, draw by draw."""
+FAMILIES = {
+    "gaussian": PriorSpec(sigma0=1.5),
+    "equicorrelated": PriorSpec(family="equicorrelated", rho=0.3),
+    "student_t": PriorSpec(family="student_t", nu=3.0),
+}
+ACTIVATIONS = {"relu": RELU, "tanh": TANH}
+N_EXPLICIT = 3000
+N_PROJECTION = 20_000
+# two-sample KS tests over the whole parametrization: u and v at both taps
+# per depth, plus the previous-layer norms at depths 2 and 3
+KS_TESTS = len(FAMILIES) * len(ACTIVATIONS) * (3 * 4 + 2)
+KS_LEVEL = 1e-3 / KS_TESTS
 
-    @pytest.mark.parametrize("tap", ["pre", "post"])
+
+def explicit_draws(cfg, x, n, seed):
+    """Units 0 and 1 of the last layer (pre, then post) and the previous layer's norm,
+    from explicit weight matrices and ``network.forward``, one draw at a time."""
+    rng = seed.stream(90)
+    out = np.zeros((n, 5))
+    for i in range(n):
+        weights = [sample_weight_matrix(p, r, c, rng)
+                   for p, r, c in zip(cfg.priors, cfg.widths, cfg.widths[1:])]
+        ref = forward(cfg, weights, x)
+        out[i, :4] = *ref.pre[-1][:2], *ref.post[-1][:2]
+        if cfg.depth > 1:
+            out[i, 4] = np.sqrt(cfg.priors[-1].scatter_quadratic(ref.post[-2], cfg.widths[-2]))
+    return out
+
+
+def ks_pvalues(cfg, x, ref, seed):
+    """KS p-values of the projection sampler's draws against ``explicit_draws``."""
+    pvalues = []
+    for tap, cols in (("pre", ref[:, :2]), ("post", ref[:, 2:4])):
+        batch = sample_units(cfg, x, cfg.depth, (0, 1), tap, N_PROJECTION, seed,
+                             want_norms=cfg.depth > 1)
+        pvalues += [ks_2samp(batch.u, cols[:, 0]).pvalue, ks_2samp(batch.v, cols[:, 1]).pvalue]
+    if cfg.depth > 1:
+        pvalues.append(ks_2samp(batch.prev_norms, ref[:, 4]).pvalue)
+    return pvalues
+
+
+class TestProjectionMatchesExplicitWeights:
+    """The projection sampler against explicit weights, in distribution.
+
+    Every test here belongs to one Bonferroni family at level 1e-3.
+    """
+
+    @pytest.mark.parametrize("act", ACTIVATIONS)
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    @pytest.mark.parametrize("prior", [
-        PriorSpec(),
-        PriorSpec(family="equicorrelated", rho=0.3),
-        PriorSpec(family="student_t", nu=3.0),
-    ], ids=["gaussian", "equicorrelated", "student_t"])
-    def test_matches_single_sample_forward(self, prior, depth, tap):
-        n, seed = 5, SeedSpec(19)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_distribution(self, family, depth, act):
+        seed = SeedSpec(60)
         x = generate_input(6, seed)
-        cfg = uniform_config(6, 4, depth, TANH, prior)
-        got = sample_layer(cfg, x, depth, n, seed, tap)
-        batch = sample_units(cfg, x, depth, (2, 0), tap, n, seed, want_norms=depth > 1)
-        # all n draws fit in block 0, whose stream yields one weight stack per layer
-        assert n <= _block_size(cfg, depth)
-        rng = seed.weight_stream(0, 0)
-        stacks = [_weight_stack(prior, cfg.widths[l - 1], cfg.widths[l], rng, n)
-                  for l in range(1, depth + 1)]
-        for i in range(n):
-            ref = forward(cfg, [w[i] for w in stacks], x)
-            want = ref.pre[-1] if tap == "pre" else ref.post[-1]
-            assert np.allclose(got[i], want, rtol=1e-12, atol=1e-12)
-            assert (batch.u[i], batch.v[i]) == (got[i, 2], got[i, 0])
-            if depth > 1:
-                norm = np.sqrt(prior.scatter_quadratic(ref.post[-2], cfg.widths[depth - 1]))
-                assert batch.prev_norms[i] == pytest.approx(norm, rel=1e-12)
+        cfg = uniform_config(6, 4, depth, ACTIVATIONS[act], FAMILIES[family])
+        pvalues = ks_pvalues(cfg, x, explicit_draws(cfg, x, N_EXPLICIT, seed), seed)
+        assert min(pvalues) > KS_LEVEL, pvalues
+
+    def test_dropping_student_t_mixing_fails(self, monkeypatch):
+        seed = SeedSpec(61)
+        x = generate_input(6, seed)
+        cfg = uniform_config(6, 4, 2, TANH, FAMILIES["student_t"])
+        ref = explicit_draws(cfg, x, N_EXPLICIT, seed)
+        monkeypatch.setattr(sampling, "STUDENT_T", "no family")
+        assert min(ks_pvalues(cfg, x, ref, seed)) <= KS_LEVEL
+
+    def test_quadratic_form_in_place_of_norm_fails(self, monkeypatch):
+        seed = SeedSpec(62)
+        x = generate_input(6, seed)
+        cfg = uniform_config(6, 4, 2, RELU, FAMILIES["gaussian"])
+        ref = explicit_draws(cfg, x, N_EXPLICIT, seed)
+        real = PriorSpec.scatter_quadratic
+        # the sampler takes the square root of this, which is then q itself
+        monkeypatch.setattr(PriorSpec, "scatter_quadratic", lambda self, h, f: real(self, h, f)**2)
+        assert min(ks_pvalues(cfg, x, ref, seed)) <= KS_LEVEL
