@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .estimators import LOWER, UPPER
-from .network import RELU, Activation, PriorSpec
+from .network import RELU, Activation, PriorSpec, _finite
 from .sampling import STREAM_DISCRETE, SampleBatch, _as_seed
 
 MAX_CONFIGURATIONS = 1 << 24
@@ -57,6 +57,18 @@ def toy_relu_net() -> DiscreteNetSpec:
     return DiscreteNetSpec(widths=(1, 1, 2), input=(1.0,))
 
 
+def _check_query(spec: DiscreteNetSpec, layer: int, unit_pair, tap: str) -> tuple[int, int]:
+    """The unit pair, once the enumerator's and the sampler's shared checks pass."""
+    if not 1 <= layer <= len(spec.widths) - 1:
+        raise ValueError(f"layer {layer} out of range 1..{len(spec.widths) - 1}")
+    j1, j2 = unit_pair
+    if j1 == j2 or not (0 <= j1 < spec.widths[layer] and 0 <= j2 < spec.widths[layer]):
+        raise ValueError(f"bad unit pair {unit_pair} for width {spec.widths[layer]}")
+    if tap not in ("pre", "post"):
+        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
+    return j1, j2
+
+
 def _last_pre(spec: DiscreteNetSpec, weight_values: np.ndarray, layer: int) -> np.ndarray:
     """Layer ``layer`` pre-activations of (count, m) flat weight draws, as ``network.forward``."""
     shapes = list(zip(spec.widths[:layer], spec.widths[1 : layer + 1]))
@@ -82,11 +94,9 @@ def enumerate_exact_delta(
     weighting each by its exact probability.  Deterministic and invariant
     under relabeling of the two units.
     """
-    if not 1 <= layer <= len(spec.widths) - 1:
-        raise ValueError(f"layer {layer} out of range")
-    j1, j2 = unit_pair
-    if j1 == j2 or not (0 <= j1 < spec.widths[layer] and 0 <= j2 < spec.widths[layer]):
-        raise ValueError(f"bad unit pair {unit_pair} for width {spec.widths[layer]}")
+    j1, j2 = _check_query(spec, layer, unit_pair, "pre")
+    if not _finite(z1, z2):
+        raise ValueError(f"thresholds must be finite, got {z1}, {z2}")
     if tail not in (UPPER, LOWER):
         raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
     m = spec.weight_count(layer)
@@ -132,9 +142,7 @@ def sample_discrete_net(
     seed,
 ) -> SampleBatch:
     """Monte Carlo draws from the discrete net, for pipeline-equivalence checks."""
-    j1, j2 = unit_pair
-    if j1 == j2 or not (0 <= j1 < spec.widths[layer] and 0 <= j2 < spec.widths[layer]):
-        raise ValueError(f"bad unit pair {unit_pair} for width {spec.widths[layer]}")
+    j1, j2 = _check_query(spec, layer, unit_pair, tap)
     seed = _as_seed(seed)
     m = spec.weight_count(layer)
     values = np.asarray(spec.support_values, dtype=np.float64)

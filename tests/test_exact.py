@@ -89,6 +89,12 @@ class TestEnumeration:
         toy = dataclasses.replace(toy_relu_net(), support_weights=(10**7, 10**7))
         assert enumerate_exact_delta(toy, 2, (0, 1), 0.0, 0.0) == Fraction(1, 16)
 
+    @pytest.mark.parametrize("z1,z2", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5)])
+    def test_non_finite_threshold_rejected(self, z1, z2):
+        # a NaN threshold compares false everywhere and used to return 0
+        with pytest.raises(ValueError):
+            enumerate_exact_delta(toy_relu_net(), 2, (0, 1), z1, z2)
+
     def test_irreducible_overflowing_weights_rejected(self):
         # gcd 1 and (2 * 10**7 + 1) ** 3 >= 2 ** 63: int64 cannot hold the sums
         toy = dataclasses.replace(toy_relu_net(), support_weights=(10**7, 10**7 + 1))
@@ -143,6 +149,19 @@ class TestDiscreteMonteCarlo:
         toy = toy_relu_net()
         batch = sample_discrete_net(toy, 2, (0, 1), "pre", 1000, 4)
         assert set(np.unique(batch.u)) <= {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize("layer", [0, 3])
+    def test_layer_out_of_range_rejected(self, layer):
+        # layer 3 used to raise IndexError and layer 0 to report a bad unit pair
+        with pytest.raises(ValueError, match="layer"):
+            sample_discrete_net(toy_relu_net(), layer, (0, 1), "pre", 100, 3)
+        with pytest.raises(ValueError, match="layer"):
+            enumerate_exact_delta(toy_relu_net(), layer, (0, 1), 0.0, 0.0)
+
+    def test_unknown_tap_rejected(self):
+        # "mid" used to return post-activation values labelled "mid"
+        with pytest.raises(ValueError, match="tap"):
+            sample_discrete_net(toy_relu_net(), 2, (0, 1), "mid", 100, 3)
 
 
 class TestDiscreteForward:

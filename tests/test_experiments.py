@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from bnndep.experiments import (
     theoretical_sign,
 )
 from bnndep.network import PriorSpec, uniform_config
-from bnndep.sampling import SampleBatch, SeedSpec, generate_input, sample_units
+from bnndep.sampling import SampleBatch, SeedSpec, generate_input, sample_layer, sample_units
 
 
 def hand_grid():
@@ -171,9 +173,10 @@ class TestQuadrantViolations:
         assert quadrant_sign_violations(grid2) == 0
 
 
-# master seeds of perfbench's selftest workload at --seed 21 and 24, whose
-# null data fail criterion 6 with the estimators' independence-null SEs and
-# criterion 2 with a 4-SE cell rule that ignores multiplicity
+# master seeds of perfbench's selftest workload at --seed 21 and 24.  With the
+# earlier explicit-weight sampler's draws, their null data failed criterion 6
+# with the estimators' independence-null SEs and criterion 2 with a 4-SE cell
+# rule that ignores multiplicity; the projection sampler draws other values
 SELFTEST_SEED_21 = 1012269760
 SELFTEST_SEED_24 = 1550323760
 
@@ -191,7 +194,8 @@ class TestGridNull:
         ok, detail = experiments._grid_null(layer1_grids)
         # 3 x 41 x 41 cells at family-wise 1e-3, two-sided
         assert detail["cell_threshold"] == pytest.approx(5.2009, abs=1e-4)
-        # the largest cell here read 4.12 SE, beyond an uncorrected 4-SE rule
+        # the largest cell here reads 2.73 SE; the explicit-weight sampler's draws
+        # read 4.12 SE, beyond an uncorrected 4-SE rule
         assert ok
 
     def test_dependent_grid_fails(self, layer1_grids):
@@ -211,8 +215,9 @@ class TestConcordanceNull:
     """Criterion 6's test: an SE that holds for dependent units, with power."""
 
     def test_dependent_null_units_pass(self):
-        # ReLU layer 3 of criterion 6 at selftest seed 21, where tau read -4.10
-        # of the estimator's independence-null SEs
+        # ReLU layer 3 of criterion 6 at selftest seed 21: tau reads -0.51 of the
+        # estimator's independence-null SEs, and read -4.10 with the explicit-weight
+        # sampler's draws
         seed = SeedSpec(SELFTEST_SEED_21)
         config = uniform_config(100, 5, 3)
         batch = sample_units(config, generate_input(100, seed), 3, (0, 1), "pre", 20_000,
@@ -226,3 +231,69 @@ class TestConcordanceNull:
         assert experiments._concordance_null(SampleBatch(u, noise, 2, "pre", PriorSpec()))[0]
         planted = SampleBatch(u, u + 10.0 * noise, 2, "pre", PriorSpec())
         assert not experiments._concordance_null(planted)[0]
+
+
+@pytest.fixture(scope="module")
+def base_grids():
+    spec = SweepSpec(n=20_000, master_seed=SELFTEST_SEED_21, workers=2)
+    return [cell.grid for cell in run_sweep(spec).values()]
+
+
+class TestSignRule:
+    """Criterion 1's test: one-sided Bonferroni over every cell, with power."""
+
+    def test_healthy_grids_pass(self, base_grids):
+        ok, detail = experiments._sign_rule(base_grids)
+        # 9 x 41 x 41 cells at family-wise 1e-3, one-sided, as perfbench's check
+        assert detail["cell_threshold"] == pytest.approx(5.2758, abs=1e-4)
+        assert ok
+
+    def test_flipped_theoretical_sign_fails(self, monkeypatch, base_grids):
+        monkeypatch.setattr(experiments, "theoretical_sign",
+                            lambda z1, z2: -theoretical_sign(z1, z2))
+        assert not experiments._sign_rule(base_grids)[0]
+
+
+POINTS = [(z1, z2) for z1 in (-0.5, 0.0, 0.5) for z2 in (-0.5, 0.0, 0.5)]
+
+
+class TestRaoBlackwellAgreement:
+    """Criterion 9's agreement test: family-wise over 18 cells, with power."""
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        seed = SeedSpec(SELFTEST_SEED_24)
+        x = generate_input(100, seed)
+        return [sample_units(uniform_config(100, h, 2), x, 2, (0, 1), "pre", 20_000,
+                             seed.child(9, h), want_norms=True, workers=2) for h in (2, 5)]
+
+    def test_healthy_batches_pass(self, batches):
+        ok, worst = experiments._rb_agreement(batches, POINTS)
+        assert ok and len(worst) == 2
+
+    def test_doubled_norms_fail(self, batches):
+        wrong = [dataclasses.replace(b, prev_norms=2.0 * b.prev_norms) for b in batches]
+        assert not experiments._rb_agreement(wrong, POINTS)[0]
+
+
+class TestPdFloor:
+    """Criterion 13's test against the exact floor 1/4, with power."""
+
+    @pytest.fixture(scope="class")
+    def layers(self):
+        seed = SeedSpec(SELFTEST_SEED_24)
+        config = uniform_config(100, 3, 2)
+        x = generate_input(100, seed)
+        return [sample_layer(config, x, layer, 20_000, seed.child(13, layer), workers=2)
+                for layer in (2, 1)]
+
+    def test_healthy_profiles_pass(self, layers):
+        ok, detail = experiments._pd_floor(*layers)
+        # 42 one-sided layer-2 tails and 2 x 42 layer-1 tails at family-wise 1e-3
+        assert detail["cell_threshold"] == pytest.approx(4.3162, abs=1e-4)
+        assert ok
+
+    def test_first_unit_forced_negative_fails(self, layers):
+        mat2 = layers[0].copy()
+        mat2[:, 0] = -np.abs(mat2[:, 0])
+        assert not experiments._pd_floor(mat2, layers[1])[0]

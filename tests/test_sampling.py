@@ -218,8 +218,11 @@ KS_LEVEL = 1e-3 / KS_TESTS
 
 
 def explicit_draws(cfg, x, n, seed):
-    """Units 0 and 1 of the last layer (pre, then post) and the previous layer's norm,
-    from explicit weight matrices and ``network.forward``, one draw at a time."""
+    """Explicit-weight reference draws, one at a time through ``network.forward``.
+
+    Columns: units 0 and 1 of the last layer at the pre tap, the same at the
+    post tap, and the previous layer's norm (zero at depth 1).
+    """
     rng = seed.stream(90)
     out = np.zeros((n, 5))
     for i in range(n):
@@ -247,7 +250,8 @@ def ks_pvalues(cfg, x, ref, seed):
 class TestProjectionMatchesExplicitWeights:
     """The projection sampler against explicit weights, in distribution.
 
-    Every test here belongs to one Bonferroni family at level 1e-3.
+    The KS tests of ``test_same_distribution`` form one Bonferroni family at
+    level 1e-3; the power cases must fail at the same per-test level.
     """
 
     @pytest.mark.parametrize("act", ACTIVATIONS)
