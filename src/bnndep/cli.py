@@ -272,15 +272,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = acceptance_suite(
-        master_seed=args.seed,
-        n=args.n,
-        big_n=args.big_n,
-        rb_n=args.rb_n,
-        rb_seeds=args.rb_seeds,
-        input_dim=args.input_dim,
-        workers=args.workers,
-    )
+    report = acceptance_suite(master_seed=args.seed, n=args.n, input_dim=args.input_dim,
+                              workers=args.workers)
     for line in report.lines():
         print(line)
     if args.report:
@@ -338,9 +331,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--big-n", type=int, dest="big_n")
-    p.add_argument("--rb-n", type=int, dest="rb_n")
-    p.add_argument("--rb-seeds", type=int, dest="rb_seeds", default=30)
     p.add_argument("--input-dim", type=int, dest="input_dim", default=100)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--report", help="path for the JSON report")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -207,10 +206,6 @@ def _py(value):
     return value
 
 
-def _status(ok: bool) -> str:
-    return "pass" if ok else "fail"
-
-
 def _within(value: float, std_error: float, target: float = 0.0) -> bool:
     """The 4-SE agreement test that most criteria apply."""
     return abs(value - target) <= 4.0 * std_error
@@ -295,229 +290,181 @@ def _concordance_null(batch: SampleBatch) -> tuple[bool, dict]:
 
 
 _ORIGIN_TARGETS = {h: exact.analytic_delta_zero(h) for h in (2, 5, 10)}
+# Batches behind criterion 9's repeated-seed variance comparison.
+RB_SEEDS = 30
+
+
+def _combine(parts: dict) -> tuple[bool, dict]:
+    """One verdict from named sub-checks, each an ``(ok, details)`` pair."""
+    return all(ok for ok, _ in parts.values()), {key: det for key, (_, det) in parts.items()}
 
 
 def acceptance_suite(
-    master_seed: int = 42,
-    n: int = 100_000,
-    big_n: Optional[int] = None,
-    rb_n: Optional[int] = None,
-    rb_seeds: int = 30,
-    input_dim: int = 100,
-    grid_steps: int = 41,
-    workers: int = 1,
+    master_seed: int = 42, n: int = 100_000, input_dim: int = 100, workers: int = 1,
 ) -> AcceptanceReport:
     """Run every acceptance criterion and collect a deterministic report.
 
-    ``big_n`` (default 10n) drives the width-10 origin check, whose target
-    is small enough to rival the standard error at the base sample count;
-    ``rb_n`` and ``rb_seeds`` size the repeated-seed variance comparison.
+    Every sample size follows from ``n``.  The width-10 origin cell, whose
+    target is small enough to rival the standard error at n draws, takes
+    10n; criterion 9 compares variances over RB_SEEDS batches of
+    max(2000, n // 5).
     """
-    if big_n is None:
-        big_n = 10 * n
-    if rb_n is None:
-        rb_n = max(2000, n // 5)
     seed = SeedSpec(master_seed)
     x = generate_input(input_dim, seed)
-    grid = GridRange(-1.0, 1.0, grid_steps)
-    z = grid.values()
-    results: list[CriterionResult] = []
+    z = GridRange().values()
 
-    base = run_sweep(SweepSpec(
-        input_dim=input_dim, n=n, grid=grid, master_seed=master_seed, workers=workers,
-    ))
+    def draw(label, width, depth, layer=None, count=n, act=RELU, prior=PriorSpec(),
+             norms=False) -> SampleBatch:
+        config = uniform_config(input_dim, width, depth, act, prior)
+        return sample_units(config, x, layer or depth, (0, 1), "pre", count,
+                            seed.child(*label), want_norms=norms, workers=workers)
 
-    # 1: no cell wrong-signed at the family-wise level; 3-SE counts reported alongside
-    ok1, det1 = _sign_rule([cell.grid for cell in base.values()])
-    det1["violations"] = {f"L{d}H{h}": cell.summary.quadrant_sign_violations
-                          for (d, h), cell in base.items()}
-    results.append(CriterionResult(
-        1, "quadrant sign structure over all depth/width grids", _status(ok1), _py(det1)))
+    def sweep(**kwargs) -> dict[tuple[int, int], SweepCell]:
+        return run_sweep(SweepSpec(input_dim=input_dim, n=n, master_seed=master_seed,
+                                   workers=workers, **kwargs))
 
-    # 2: first-layer units are independent: grid null plus concordance nulls
-    l1 = run_sweep(SweepSpec(
-        depths=(1,), input_dim=input_dim, n=n, grid=grid,
-        master_seed=master_seed, workers=workers,
-    ))
-    ok2, det2 = _grid_null([cell.grid for cell in l1.values()])
-    config_l1 = uniform_config(input_dim, 5, 1)
-    batch_l1 = sample_units(config_l1, x, 1, (0, 1), "pre", n, seed.child(2), workers=workers)
-    tau = est.kendall_tau(batch_l1)
-    rho = est.spearman_rho(batch_l1)
-    # layer-1 units are independent, so the estimators' null SEs hold here
-    ok2 = ok2 and _within(tau.value, tau.std_error) and _within(rho.value, rho.std_error)
-    det2.update({"tau": tau.value, "tau_bound": 4 * tau.std_error,
-                 "rho": rho.value, "rho_bound": 4 * rho.std_error})
-    results.append(CriterionResult(
-        2, "first-layer grids and concordance are null", _status(ok2), _py(det2)))
+    base = sweep()
 
-    # 3-4: origin value matches the dead-layer closed form, at three scales
-    def origin_check(sigma0: float, label: int) -> tuple[bool, dict]:
-        prior = PriorSpec(sigma0=sigma0)
-        ok = True
-        detail = {}
+    def sign_structure():
+        ok, det = _sign_rule([cell.grid for cell in base.values()])
+        # the uncorrected 3-SE counts, reported alongside
+        det["violations"] = {f"L{d}H{h}": cell.summary.quadrant_sign_violations
+                             for (d, h), cell in base.items()}
+        return ok, det
+
+    def first_layer_null():
+        ok, det = _grid_null([cell.grid for cell in sweep(depths=(1,)).values()])
+        batch = draw((2,), 5, 1)
+        tau, rho = est.kendall_tau(batch), est.spearman_rho(batch)
+        det.update({"tau": tau.value, "tau_bound": 4 * tau.std_error,
+                    "rho": rho.value, "rho_bound": 4 * rho.std_error})
+        # layer-1 units are independent, so the estimators' null SEs hold here
+        return ok and _within(tau.value, tau.std_error) and _within(rho.value, rho.std_error), det
+
+    def origin(sigma0: float, label: int):
+        parts = {}
         for h in (2, 5, 10):
-            count = big_n if h == 10 else n
-            config = uniform_config(input_dim, h, 2, RELU, prior)
-            batch = sample_units(config, x, 2, (0, 1), "pre", count,
-                                 seed.child(label, h), workers=workers)
-            e = est.delta_upper(batch, 0.0, 0.0)
-            target = float(_ORIGIN_TARGETS[h])
-            ok = ok and _within(e.value, e.std_error, target)
-            detail[f"H{h}"] = {"estimate": e.value, "target": target,
-                               "tolerance": 4.0 * e.std_error, "n": e.n}
-        return ok, detail
+            batch = draw((label, h), h, 2, count=10 * n if h == 10 else n,
+                         prior=PriorSpec(sigma0=sigma0))
+            e, target = est.delta_upper(batch, 0.0, 0.0), float(_ORIGIN_TARGETS[h])
+            parts[f"H{h}"] = _within(e.value, e.std_error, target), {
+                "estimate": e.value, "target": target, "tolerance": 4.0 * e.std_error, "n": e.n}
+        return _combine(parts)
 
-    ok3, det3 = origin_check(1.0, 3)
-    results.append(CriterionResult(
-        3, "origin value matches dead-layer closed form", _status(ok3), _py(det3)))
+    def zero_covariance():
+        parts = {}
+        priors = {"iid": PriorSpec(),
+                  "equicorrelated": PriorSpec(family="equicorrelated", rho=0.5)}
+        for pi, (name, prior) in enumerate(priors.items()):
+            for layer in (1, 2, 3):
+                cov = est.covariance(draw((5, pi, layer), 5, 3, layer, prior=prior))
+                parts[f"{name}_layer{layer}"] = _within(cov.value, cov.std_error), {
+                    "cov": cov.value, "bound": 4 * cov.std_error}
+        return _combine(parts)
 
-    det4 = {}
-    ok4 = True
-    for idx, sigma0 in enumerate((0.1, 10.0)):
-        ok_s, det_s = origin_check(sigma0, 40 + idx)
-        ok4 = ok4 and ok_s
-        det4[f"sigma0={sigma0}"] = det_s
-    results.append(CriterionResult(
-        4, "origin check is invariant to the weight scale", _status(ok4), _py(det4)))
+    def zero_concordance():
+        return _combine({f"{act.kind}_layer{layer}":
+                         _concordance_null(draw((6, ai, layer), 5, 3, layer, act=act))
+                         for ai, act in enumerate((RELU, IDENTITY)) for layer in (2, 3)})
 
-    # 5: uncorrelated units under both independent and within-column-correlated priors
-    det5 = {}
-    ok5 = True
-    priors5 = {"iid": PriorSpec(),
-               "equicorrelated": PriorSpec(family="equicorrelated", rho=0.5)}
-    for pi, (pname, prior) in enumerate(priors5.items()):
-        config = uniform_config(input_dim, 5, 3, RELU, prior)
-        for layer in (1, 2, 3):
-            batch = sample_units(config, x, layer, (0, 1), "pre", n,
-                                 seed.child(5, pi, layer), workers=workers)
-            cov = est.covariance(batch)
-            ok5 = ok5 and _within(cov.value, cov.std_error)
-            det5[f"{pname}_layer{layer}"] = {"cov": cov.value, "bound": 4 * cov.std_error}
-    results.append(CriterionResult(
-        5, "zero covariance between units at every layer", _status(ok5), _py(det5)))
+    def copy_signs():
+        replicas = sample_replicas(uniform_config(input_dim, 2, 2), x, 2, (0, 1), "pre", n,
+                                   seed.child(7), workers=workers)
+        center = int(np.argmin(np.abs(z)))
+        parts = {}
+        for mode in (est.SUM_OF_COPIES, est.DIFF_OF_COPIES):
+            g = est.delta_grid(replicas, z, z, combo=mode)
+            viol, c = quadrant_sign_violations(g), g.cell(center, center)
+            parts[mode] = viol == 0 and c.value >= -4.0 * c.std_error, {
+                "violations": viol, "center": c.value, "center_se": c.std_error}
+        return _combine(parts)
 
-    # 6: zero concordance beyond layer 1 for two activations
-    det6 = {}
-    ok6 = True
-    for ai, act in enumerate((RELU, IDENTITY)):
-        config = uniform_config(input_dim, 5, 3, act)
-        for layer in (2, 3):
-            batch = sample_units(config, x, layer, (0, 1), "pre", n,
-                                 seed.child(6, ai, layer), workers=workers)
-            ok, det6[f"{act.kind}_layer{layer}"] = _concordance_null(batch)
-            ok6 = ok6 and ok
-    results.append(CriterionResult(
-        6, "zero concordance beyond the first layer", _status(ok6), _py(det6)))
+    def enumeration_match():
+        toy = exact.toy_relu_net()
+        mc = exact.sample_discrete_net(toy, 2, (0, 1), "pre", n, seed.child(8))
+        parts = {}
+        for z1, z2 in ((0.0, 0.0), (0.5, 0.5), (0.5, -0.5)):
+            ex = float(exact.enumerate_exact_delta(toy, 2, (0, 1), z1, z2))
+            e = est.delta_upper(mc, z1, z2)
+            parts[f"z=({z1},{z2})"] = _within(e.value, e.std_error, ex), {
+                "exact": ex, "estimate": e.value, "tolerance": 4.0 * e.std_error}
+        return _combine(parts)
 
-    # 7: sums and differences of independent copies obey the same sign rule
-    config7 = uniform_config(input_dim, 2, 2)
-    replicas = sample_replicas(config7, x, 2, (0, 1), "pre", n, seed.child(7), workers=workers)
-    det7 = {}
-    ok7 = True
-    center = int(np.argmin(np.abs(z)))
-    for mode in (est.SUM_OF_COPIES, est.DIFF_OF_COPIES):
-        g = est.delta_grid(replicas, z, z, combo=mode)
-        viol = quadrant_sign_violations(g)
-        c = g.cell(center, center)
-        ok7 = ok7 and viol == 0 and c.value >= -4.0 * c.std_error
-        det7[mode] = {"violations": viol, "center": c.value, "center_se": c.std_error}
-    results.append(CriterionResult(
-        7, "independent-copy sum/diff grids obey the sign rule", _status(ok7), _py(det7)))
+    def rao_blackwell():
+        points = [(z1, z2) for z1 in (-0.5, 0.0, 0.5) for z2 in (-0.5, 0.0, 0.5)]
+        ok, worst = _rb_agreement([draw((9, h), h, 2, norms=True) for h in (2, 5)], points)
+        rb_n, rb_vals, ind_vals = max(2000, n // 5), [], []
+        for rep in range(RB_SEEDS):
+            batch = draw((9, 0, rep), 2, 2, count=rb_n, norms=True)
+            rb_vals.append(est.rao_blackwell_delta(batch, 0.0, 0.0).value)
+            ind_vals.append(est.delta_upper(batch, 0.0, 0.0).value)
+        var_rb, var_ind = float(np.var(rb_vals, ddof=1)), float(np.var(ind_vals, ddof=1))
+        return ok and var_rb <= var_ind, {
+            "H2_worst_gap_fraction": worst[0], "H5_worst_gap_fraction": worst[1],
+            "replication_var_conditional": var_rb, "replication_var_indicator": var_ind,
+            "replications": RB_SEEDS, "replication_n": rb_n}
 
-    # 8: Monte Carlo pipeline reproduces exact enumeration on the toy net
-    toy = exact.toy_relu_net()
-    mc = exact.sample_discrete_net(toy, 2, (0, 1), "pre", n, seed.child(8))
-    det8 = {}
-    ok8 = True
-    for z1, z2 in ((0.0, 0.0), (0.5, 0.5), (0.5, -0.5)):
-        ex = float(exact.enumerate_exact_delta(toy, 2, (0, 1), z1, z2))
-        e = est.delta_upper(mc, z1, z2)
-        ok8 = ok8 and _within(e.value, e.std_error, ex)
-        det8[f"z=({z1},{z2})"] = {"exact": ex, "estimate": e.value,
-                                  "tolerance": 4.0 * e.std_error}
-    results.append(CriterionResult(
-        8, "sampler and estimators match exact enumeration", _status(ok8), _py(det8)))
+    def brute_force_match():
+        rng = np.random.default_rng(master_seed)
+        mismatches = 0
+        size_cap = min(2000, max(2, n))
+        for case in range(200):
+            size = int(rng.integers(2, size_cap + 1))
+            if case % 2 == 0:
+                lo = max(2, size // 5)
+                u = rng.integers(0, lo, size).astype(float)
+                v = rng.integers(0, lo, size).astype(float)
+            else:
+                u = rng.standard_normal(size)
+                v = rng.standard_normal(size)
+            mismatches += est.kendall_tau_arrays(u, v).value != exact.brute_force_tau(u, v)
+        return mismatches == 0, {"mismatches": mismatches}
 
-    # 9: conditional-expectation estimator agrees and has smaller variance
-    points = [(z1, z2) for z1 in (-0.5, 0.0, 0.5) for z2 in (-0.5, 0.0, 0.5)]
-    batches9 = [sample_units(uniform_config(input_dim, h, 2), x, 2, (0, 1), "pre", n,
-                             seed.child(9, h), want_norms=True, workers=workers)
-                for h in (2, 5)]
-    ok9, worst9 = _rb_agreement(batches9, points)
-    det9 = {"H2_worst_gap_fraction": worst9[0], "H5_worst_gap_fraction": worst9[1]}
-    rb_vals, ind_vals = [], []
-    config_rb = uniform_config(input_dim, 2, 2)
-    for rep in range(rb_seeds):
-        batch = sample_units(config_rb, x, 2, (0, 1), "pre", rb_n,
-                             seed.child(9, 0, rep), want_norms=True, workers=workers)
-        rb_vals.append(est.rao_blackwell_delta(batch, 0.0, 0.0).value)
-        ind_vals.append(est.delta_upper(batch, 0.0, 0.0).value)
-    var_rb = float(np.var(rb_vals, ddof=1))
-    var_ind = float(np.var(ind_vals, ddof=1))
-    ok9 = ok9 and var_rb <= var_ind
-    det9.update({"replication_var_conditional": var_rb,
-                 "replication_var_indicator": var_ind,
-                 "replications": rb_seeds, "replication_n": rb_n})
-    results.append(CriterionResult(
-        9, "conditional-expectation estimator agrees with smaller variance",
-        _status(ok9), _py(det9)))
+    def width_trend():
+        m = {h: base[(2, h)].summary.mean_abs for h in (2, 5, 10)}
+        se = {h: mean_abs_std_error(base[(2, h)].grid) for h in (2, 5, 10)}
+        gap_25, gap_510 = m[2] - m[5], m[5] - m[10]
+        ok = gap_25 > np.hypot(se[2], se[5]) and gap_510 > np.hypot(se[5], se[10])
+        return ok, {"mean_abs": m, "gap_2_5": gap_25, "gap_5_10": gap_510, "se": se}
 
-    # 10: fast concordance count equals brute force bitwise
-    rng10 = np.random.default_rng(master_seed)
-    mismatches = 0
-    size_cap = min(2000, max(2, n))
-    for case in range(200):
-        size = int(rng10.integers(2, size_cap + 1))
-        if case % 2 == 0:
-            lo = max(2, size // 5)
-            u = rng10.integers(0, lo, size).astype(float)
-            v = rng10.integers(0, lo, size).astype(float)
-        else:
-            u = rng10.standard_normal(size)
-            v = rng10.standard_normal(size)
-        fast = est.kendall_tau_arrays(u, v).value
-        slow = exact.brute_force_tau(u, v)
-        if fast != slow:
-            mismatches += 1
-    results.append(CriterionResult(
-        10, "fast concordance equals brute force bitwise on 200 batches",
-        _status(mismatches == 0), _py({"mismatches": mismatches})))
+    def depth_trend():
+        peaks = {d: base[(d, 2)].summary.peakedness for d in (2, 3, 4)}
+        return peaks[3] >= 0.9 * peaks[2] and peaks[4] >= 0.9 * peaks[3], {"peakedness": peaks}
 
-    # 11: wider layers weaken dependence: mean |value| strictly ordered
-    m = {h: base[(2, h)].summary.mean_abs for h in (2, 5, 10)}
-    se_m = {h: mean_abs_std_error(base[(2, h)].grid) for h in (2, 5, 10)}
-    gap_25 = m[2] - m[5]
-    gap_510 = m[5] - m[10]
-    ok11 = (gap_25 > np.hypot(se_m[2], se_m[5])
-            and gap_510 > np.hypot(se_m[5], se_m[10]))
-    results.append(CriterionResult(
-        11, "dependence decreases with width at depth 2", _status(ok11),
-        _py({"mean_abs": m, "gap_2_5": gap_25, "gap_5_10": gap_510,
-             "se": se_m})))
+    def pd_floor():
+        config = uniform_config(input_dim, 3, 2)
+        return _pd_floor(*(sample_layer(config, x, layer, n, seed.child(13, layer),
+                                        workers=workers) for layer in (2, 1)))
 
-    # 12 (soft): deeper nets concentrate dependence at the center
-    peaks = {d: base[(d, 2)].summary.peakedness for d in (2, 3, 4)}
-    trend_ok = peaks[3] >= 0.9 * peaks[2] and peaks[4] >= 0.9 * peaks[3]
-    results.append(CriterionResult(
-        12, "peakedness non-decreasing with depth at width 2 (soft)",
-        "pass" if trend_ok else "warn", _py({"peakedness": peaks})))
-
-    # 13: positive-dependence profile at or above its floor, and at it on layer 1
-    config13 = uniform_config(input_dim, 3, 2)
-    mat2 = sample_layer(config13, x, 2, n, seed.child(13, 2), workers=workers)
-    mat1 = sample_layer(config13, x, 1, n, seed.child(13, 1), workers=workers)
-    ok13, det13 = _pd_floor(mat2, mat1)
-    results.append(CriterionResult(
-        13, "positive-dependence profile bounded away from zero", _status(ok13), _py(det13)))
-
-    # 14: thread count cannot change a single byte of any output
-    results.append(_determinism_criterion(master_seed, input_dim))
-
+    table = (
+        (1, "quadrant sign structure over all depth/width grids", sign_structure),
+        (2, "first-layer grids and concordance are null", first_layer_null),
+        (3, "origin value matches dead-layer closed form", lambda: origin(1.0, 3)),
+        (4, "origin check is invariant to the weight scale",
+         lambda: _combine({f"sigma0={s}": origin(s, 40 + i) for i, s in enumerate((0.1, 10.0))})),
+        (5, "zero covariance between units at every layer", zero_covariance),
+        (6, "zero concordance beyond the first layer", zero_concordance),
+        (7, "independent-copy sum/diff grids obey the sign rule", copy_signs),
+        (8, "sampler and estimators match exact enumeration", enumeration_match),
+        (9, "conditional-expectation estimator agrees with smaller variance", rao_blackwell),
+        (10, "fast concordance equals brute force bitwise on 200 batches", brute_force_match),
+        (11, "dependence decreases with width at depth 2", width_trend),
+        # soft: deeper nets concentrate dependence at the center, or warn
+        (12, "peakedness non-decreasing with depth at width 2 (soft)", depth_trend),
+        (13, "positive-dependence profile bounded away from zero", pd_floor),
+        (14, "outputs are byte-identical across worker counts",
+         lambda: _determinism_criterion(master_seed, input_dim)),
+    )
+    results = []
+    for cid, title, check in table:
+        ok, details = check()
+        status = "pass" if ok else "warn" if cid == 12 else "fail"
+        results.append(CriterionResult(cid, title, status, _py(details)))
     return AcceptanceReport(master_seed, n, results)
 
 
-def _determinism_criterion(master_seed: int, input_dim: int) -> CriterionResult:
+def _determinism_criterion(master_seed: int, input_dim: int) -> tuple[bool, dict]:
+    """Criterion 14: thread count cannot change a single byte of any output."""
     from . import gridio
 
     seed = SeedSpec(master_seed)
@@ -536,6 +483,4 @@ def _determinism_criterion(master_seed: int, input_dim: int) -> CriterionResult:
             "summary": json.dumps(_py(summarize(grid).__dict__), sort_keys=True),
         })
     checks = {key: outputs[0][key] == outputs[1][key] for key in outputs[0]}
-    return CriterionResult(
-        14, "outputs are byte-identical across worker counts",
-        _status(all(checks.values())), _py({"equal": checks}))
+    return all(checks.values()), {"equal": checks}

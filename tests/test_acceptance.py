@@ -12,21 +12,11 @@ from bnndep.experiments import acceptance_suite
 
 MASTER_SEED = 42
 N = 100_000
-BIG_N = 1_000_000
-RB_N = 20_000
-RB_SEEDS = 30
 
 
 @pytest.fixture(scope="session")
 def report():
-    return acceptance_suite(
-        master_seed=MASTER_SEED,
-        n=N,
-        big_n=BIG_N,
-        rb_n=RB_N,
-        rb_seeds=RB_SEEDS,
-        workers=2,
-    )
+    return acceptance_suite(master_seed=MASTER_SEED, n=N, workers=2)
 
 
 def criterion(report, cid):

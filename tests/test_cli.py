@@ -217,8 +217,7 @@ class TestOtherCommands:
 
 class TestSelftestCommand:
     def test_reduced_scale_reports_byte_identical_across_workers(self, tmp_path, capsys):
-        base = ["selftest", "--seed", "42", "--n", "1200", "--rb-seeds", "4",
-                "--rb-n", "1000", "--input-dim", "20"]
+        base = ["selftest", "--seed", "42", "--n", "1200", "--input-dim", "20"]
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         rc1 = main(base + ["--workers", "1", "--report", str(r1)])
         rc2 = main(base + ["--workers", "2", "--report", str(r2)])
