@@ -43,7 +43,9 @@ class DeltaGrid:
     ``value[a, b]`` estimates the difference between the joint probability
     that the two units exceed (z1_values[a], z2_values[b]) and the product
     of the marginal exceedance probabilities; ``lower`` tail replaces
-    exceedance with the complementary <= events.
+    exceedance with the complementary <= events.  ``null_std_error`` is the
+    SE each cell would have at zero dependence, sqrt(p1(1-p1) p2(1-p2) / n)
+    from its marginals; it is None for a grid read back from CSV.
     """
 
     z1_values: np.ndarray
@@ -53,6 +55,7 @@ class DeltaGrid:
     n: int
     tail: str = UPPER
     combo: str = SINGLE
+    null_std_error: Optional[np.ndarray] = None
 
     def cell(self, a: int, b: int) -> EstimateWithError:
         return EstimateWithError(float(self.value[a, b]), float(self.std_error[a, b]), self.n)
@@ -199,7 +202,9 @@ def delta_grid(
         c1, c2 = n - c1, n - c2
 
     value, se = _delta_from_counts(c11, c1[:, None], c2[None, :], n)
-    return DeltaGrid(z1, z2, value, se, n, tail, combo)
+    p1, p2 = c1 / n, c2 / n
+    null_se = np.sqrt(np.outer(p1 * (1.0 - p1), p2 * (1.0 - p2)) / n)
+    return DeltaGrid(z1, z2, value, se, n, tail, combo, null_se)
 
 
 # ---------------------------------------------------------------------------

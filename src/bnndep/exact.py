@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimators import LOWER, UPPER
 from .network import RELU, Activation, PriorSpec, _finite
-from .sampling import STREAM_DISCRETE, SampleBatch, _as_seed
+from .sampling import STREAM_DISCRETE, SampleBatch, _as_seed, _check_query, _run_blocks
 
 MAX_CONFIGURATIONS = 1 << 24
 _CHUNK = 1 << 16
@@ -57,18 +57,6 @@ def toy_relu_net() -> DiscreteNetSpec:
     return DiscreteNetSpec(widths=(1, 1, 2), input=(1.0,))
 
 
-def _check_query(spec: DiscreteNetSpec, layer: int, unit_pair, tap: str) -> tuple[int, int]:
-    """The unit pair, once the enumerator's and the sampler's shared checks pass."""
-    if not 1 <= layer <= len(spec.widths) - 1:
-        raise ValueError(f"layer {layer} out of range 1..{len(spec.widths) - 1}")
-    j1, j2 = unit_pair
-    if j1 == j2 or not (0 <= j1 < spec.widths[layer] and 0 <= j2 < spec.widths[layer]):
-        raise ValueError(f"bad unit pair {unit_pair} for width {spec.widths[layer]}")
-    if tap not in ("pre", "post"):
-        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
-    return j1, j2
-
-
 def _last_pre(spec: DiscreteNetSpec, weight_values: np.ndarray, layer: int) -> np.ndarray:
     """Layer ``layer`` pre-activations of (count, m) flat weight draws, as ``network.forward``."""
     shapes = list(zip(spec.widths[:layer], spec.widths[1 : layer + 1]))
@@ -94,7 +82,8 @@ def enumerate_exact_delta(
     weighting each by its exact probability.  Deterministic and invariant
     under relabeling of the two units.
     """
-    j1, j2 = _check_query(spec, layer, unit_pair, "pre")
+    _check_query(spec.widths, layer, unit_pair, "pre")
+    j1, j2 = unit_pair
     if not _finite(z1, z2):
         raise ValueError(f"thresholds must be finite, got {z1}, {z2}")
     if tail not in (UPPER, LOWER):
@@ -141,8 +130,12 @@ def sample_discrete_net(
     n: int,
     seed,
 ) -> SampleBatch:
-    """Monte Carlo draws from the discrete net, for pipeline-equivalence checks."""
-    j1, j2 = _check_query(spec, layer, unit_pair, tap)
+    """Monte Carlo draws from the discrete net, for pipeline-equivalence checks.
+
+    Blocks are the sampler's, each with its own stream (STREAM_DISCRETE, block).
+    """
+    _check_query(spec.widths, layer, unit_pair, tap)
+    j1, j2 = unit_pair
     seed = _as_seed(seed)
     m = spec.weight_count(layer)
     values = np.asarray(spec.support_values, dtype=np.float64)
@@ -150,15 +143,15 @@ def sample_discrete_net(
     probs = probs / probs.sum()
     u = np.empty(n)
     v = np.empty(n)
-    block = 1 << 14
-    for k, start in enumerate(range(0, n, block)):
-        count = min(block, n - start)
-        rng = seed.stream(STREAM_DISCRETE, k)
-        digits = rng.choice(len(values), size=(count, m), p=probs)
+
+    def job(k: int, start: int, count: int) -> None:
+        digits = seed.stream(STREAM_DISCRETE, k).choice(len(values), size=(count, m), p=probs)
         pre = _last_pre(spec, values[digits], layer)
         vals = pre if tap == "pre" else spec.activation(pre)
         u[start : start + count] = vals[:, j1]
         v[start : start + count] = vals[:, j2]
+
+    _run_blocks(n, job, workers=1)
     # prior field is unused for discrete supports; record a placeholder
     return SampleBatch(u, v, layer, tap, PriorSpec())
 
@@ -222,14 +215,7 @@ def brute_force_tau(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("concordance estimation needs n >= 2")
     if n > 10_000:
         raise ValueError("brute force capped at n = 10000")
-    total = 0
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        su = np.sign(u[start:stop, None] - u[None, :]).astype(np.int64)
-        sv = np.sign(v[start:stop, None] - v[None, :]).astype(np.int64)
-        total += int((su * sv).sum())
-    # every unordered pair appears twice in the full sign-product sum
-    numerator = total // 2
-    n0 = n * (n - 1) // 2
-    return numerator / n0
+    # each row's sign products are integers below 2**53, so the float dot product is exact
+    numerator = sum(int(np.sign(u[i + 1 :] - u[i]) @ np.sign(v[i + 1 :] - v[i]))
+                    for i in range(n - 1))
+    return numerator / (n * (n - 1) // 2)

@@ -216,21 +216,25 @@ def _threshold(tails: int) -> float:
     return float(ndtri(1.0 - GRID_NULL_ALPHA / tails))
 
 
-def _cell_test(grids: list[est.DeltaGrid], stat, sides: int) -> tuple[bool, dict]:
-    """``stat`` of every cell within the Bonferroni bound over all cells, in SEs."""
+def _cell_test(grids: list[est.DeltaGrid], score, sides: int) -> tuple[bool, dict]:
+    """``score`` of every cell, in SEs, within the Bonferroni bound over all cells."""
     threshold = _threshold(sides * sum(g.value.size for g in grids))
-    worst = max(float((stat(g) / np.maximum(g.std_error, _EPS)).max()) for g in grids)
+    worst = max(float(score(g).max()) for g in grids)
     return worst <= threshold, {"max_cell_ratio": worst, "cell_threshold": threshold}
 
 
 def _grid_null(grids: list[est.DeltaGrid]) -> tuple[bool, dict]:
     """Criterion 2: every cell within the two-sided bound of zero."""
-    return _cell_test(grids, lambda g: np.abs(g.value), 2)
+    return _cell_test(grids, lambda g: np.abs(g.value) / np.maximum(g.std_error, _EPS), 2)
 
 
 def _sign_rule(grids: list[est.DeltaGrid]) -> tuple[bool, dict]:
-    """Criterion 1: no cell wrong-signed beyond the one-sided bound."""
-    return _cell_test(grids, _wrong_side, 1)
+    """Criterion 1: no cell wrong-signed beyond the one-sided bound.
+
+    Cells are scored in SEs at zero dependence, the boundary the rule tests:
+    the plug-in SE collapses when a cross count is empty.
+    """
+    return _cell_test(grids, lambda g: _wrong_side(g) / np.maximum(g.null_std_error, _EPS), 1)
 
 
 def _rb_agreement(batches: list[SampleBatch], points) -> tuple[bool, list[float]]:
@@ -417,7 +421,7 @@ def acceptance_suite(
             else:
                 u = rng.standard_normal(size)
                 v = rng.standard_normal(size)
-            mismatches += est.kendall_tau_arrays(u, v).value != exact.brute_force_tau(u, v)
+            mismatches += int(est.kendall_tau_arrays(u, v).value != exact.brute_force_tau(u, v))
         return mismatches == 0, {"mismatches": mismatches}
 
     def width_trend():

@@ -155,6 +155,23 @@ def _run_blocks(n: int, job: Callable[[int, int, int], None], workers: int) -> N
         list(ex.map(lambda t: job(*t), tasks))
 
 
+def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
+    """Reject a layer, unit pair or tap that a net of ``widths`` (input first) cannot serve.
+
+    ``unit_pair=None`` asks for the whole layer.
+    """
+    if not 1 <= layer <= len(widths) - 1:
+        raise ValueError(f"layer {layer} out of range 1..{len(widths) - 1}")
+    if unit_pair is not None:
+        j1, j2 = unit_pair
+        if j1 == j2:
+            raise ValueError("unit pair must name two distinct units")
+        if not (0 <= j1 < widths[layer] and 0 <= j2 < widths[layer]):
+            raise ValueError(f"unit indices {unit_pair} out of range for width {widths[layer]}")
+    if tap not in ("pre", "post"):
+        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
+
+
 def _sample(
     config: NetworkConfig, input: np.ndarray, layer: int, unit_pair, tap: str, n: int,
     seed, replica: int, workers: int, want_norms: bool = False,
@@ -167,18 +184,9 @@ def _sample(
     """
     validate_config(config)
     seed = _as_seed(seed)
-    if not 1 <= layer <= config.depth:
-        raise ValueError(f"layer {layer} out of range 1..{config.depth}")
     widths = config.widths
+    _check_query(widths, layer, unit_pair, tap)
     width = widths[layer]
-    if unit_pair is not None:
-        j1, j2 = unit_pair
-        if j1 == j2:
-            raise ValueError("unit pair must name two distinct units")
-        if not (0 <= j1 < width and 0 <= j2 < width):
-            raise ValueError(f"unit indices {unit_pair} out of range for width {width}")
-    if tap not in ("pre", "post"):
-        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
     if want_norms and layer < 2:
         raise ValueError("previous-layer norms require layer >= 2")
     if n < 0:
@@ -186,7 +194,7 @@ def _sample(
     x = np.asarray(input, dtype=np.float64)
     if x.shape != (widths[0],):
         raise ValueError(f"input shape {x.shape} != ({widths[0]},)")
-    picks = [slice(None)] if unit_pair is None else [j1, j2]
+    picks = [slice(None)] if unit_pair is None else list(unit_pair)
     outs = [np.empty((n, width) if unit_pair is None else n) for _ in picks]
     if want_norms:
         outs.append(np.empty(n))
@@ -218,11 +226,10 @@ def sample_layer(
     n: int,
     seed,
     tap: str = "pre",
-    replica: int = 0,
     workers: int = 1,
 ) -> np.ndarray:
     """(n, H_layer) matrix of one layer's tapped values over n prior draws."""
-    return _sample(config, input, layer, None, tap, n, seed, replica, workers)[0]
+    return _sample(config, input, layer, None, tap, n, seed, 0, workers)[0]
 
 
 def sample_units(

@@ -14,7 +14,8 @@ from bnndep.exact import (
     sample_discrete_net,
     toy_relu_net,
 )
-from bnndep.network import IDENTITY, TANH, NetworkConfig, forward
+from bnndep.network import IDENTITY, RELU, TANH, NetworkConfig, PriorSpec, forward
+from bnndep.sampling import sample_units
 
 
 class TestEnumeration:
@@ -162,6 +163,25 @@ class TestDiscreteMonteCarlo:
         # "mid" used to return post-activation values labelled "mid"
         with pytest.raises(ValueError, match="tap"):
             sample_discrete_net(toy_relu_net(), 2, (0, 1), "mid", 100, 3)
+
+
+@pytest.mark.parametrize("layer, pair, tap", [
+    (0, (0, 1), "pre"), (3, (0, 1), "pre"), (2, (1, 1), "pre"), (2, (0, 2), "pre"),
+    (2, (-1, 0), "pre"), (2, (0, 1), "mid"),
+])
+def test_sampler_and_exact_reject_bad_queries_alike(layer, pair, tap):
+    toy = toy_relu_net()
+    config = NetworkConfig(toy.widths, RELU, (PriorSpec(),) * 2)
+    calls = [lambda: sample_units(config, np.ones(1), layer, pair, tap, 10, 1),
+             lambda: sample_discrete_net(toy, layer, pair, tap, 10, 1)]
+    if tap == "pre":
+        calls.append(lambda: enumerate_exact_delta(toy, layer, pair, 0.0, 0.0))
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
 
 
 class TestDiscreteForward:

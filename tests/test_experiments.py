@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bnndep.experiments as experiments
-from bnndep.estimators import DeltaGrid, kendall_tau
+from bnndep.estimators import DeltaGrid, delta_grid, kendall_tau
 from bnndep.experiments import (
     GridRange,
     SweepSpec,
@@ -247,6 +247,16 @@ class TestSignRule:
         # 9 x 41 x 41 cells at family-wise 1e-3, one-sided, as perfbench's check
         assert detail["cell_threshold"] == pytest.approx(5.2758, abs=1e-4)
         assert ok
+
+    def test_empty_cross_count_passes(self):
+        # 5000 draws: 42 with u < z1, 81 with v < z2, none with both.  The plug-in
+        # SE collapses on the empty cross count and puts the cell 5.3 SE on the
+        # wrong side; scored at zero dependence it is well inside
+        u, v = np.zeros(5000), np.zeros(5000)
+        u[:42], v[42:123] = -2.0, -2.0
+        grid = delta_grid(SampleBatch(u, v, 2, "pre", PriorSpec()), [-1.0], [-1.0])
+        assert grid.value[0, 0] / grid.std_error[0, 0] == pytest.approx(-5.3, abs=0.05)
+        assert experiments._sign_rule([grid])[0]
 
     def test_flipped_theoretical_sign_fails(self, monkeypatch, base_grids):
         monkeypatch.setattr(experiments, "theoretical_sign",
