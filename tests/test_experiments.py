@@ -256,6 +256,9 @@ class TestSignRule:
         u[:42], v[42:123] = -2.0, -2.0
         grid = delta_grid(SampleBatch(u, v, 2, "pre", PriorSpec()), [-1.0], [-1.0])
         assert grid.value[0, 0] / grid.std_error[0, 0] == pytest.approx(-5.3, abs=0.05)
+        p1, p2 = 1 - 42 / 5000, 1 - 81 / 5000
+        assert grid.null_std_error[0, 0] == pytest.approx(
+            np.sqrt(p1 * (1 - p1) * p2 * (1 - p2) / 5000), rel=1e-12)
         assert experiments._sign_rule([grid])[0]
 
     def test_flipped_theoretical_sign_fails(self, monkeypatch, base_grids):
