@@ -261,6 +261,12 @@ class TestSignRule:
             np.sqrt(p1 * (1 - p1) * p2 * (1 - p2) / 5000), rel=1e-12)
         assert experiments._sign_rule([grid])[0]
 
+    def test_grid_without_null_se_is_rejected(self, base_grids):
+        # grids read back from CSV carry no null SE; the rule must say so, not guess
+        grid = dataclasses.replace(base_grids[0], null_std_error=None)
+        with pytest.raises(ValueError, match="null_std_error"):
+            experiments._sign_rule([grid])
+
     def test_flipped_theoretical_sign_fails(self, monkeypatch, base_grids):
         monkeypatch.setattr(experiments, "theoretical_sign",
                             lambda z1, z2: -theoretical_sign(z1, z2))

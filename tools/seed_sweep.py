@@ -1,7 +1,8 @@
 """Run the acceptance suite at many master seeds and print how near each criterion came to failing.
 
 The master seeds are those of perfbench's selftest workload: benchmark seed
-s runs ``acceptance_suite`` at ``random.Random(f"selftest:{s}").randrange(1, 2**31)``.
+s runs ``acceptance_suite`` at ``random.Random(f"selftest:{s}").randrange(1, 2**31)``
+and the suite's default input_dim of 100, as that workload does.
 One line per seed names the criteria that failed or warned and gives the
 worst readings of the many-cell criteria:
 
@@ -47,14 +48,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=20_000)
     parser.add_argument("--seeds", default="1-30,301", help="benchmark seeds, e.g. 1-30,301")
-    parser.add_argument("--input-dim", type=int, default=100)
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
     failures: Counter = Counter()
     for s in seed_list(args.seeds):
         master = random.Random(f"selftest:{s}").randrange(1, 2**31)
-        report = acceptance_suite(master_seed=master, n=args.n, input_dim=args.input_dim,
-                                  workers=args.workers)
+        report = acceptance_suite(master_seed=master, n=args.n, workers=args.workers)
         failed = [r.cid for r in report.results if r.status == "fail"]
         warned = [r.cid for r in report.results if r.status == "warn"]
         failures.update(failed)
