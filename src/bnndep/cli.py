@@ -23,7 +23,7 @@ import numpy as np
 from . import estimators as est
 from . import exact
 from .experiments import GridRange, SweepSpec, acceptance_suite, run_sweep, summarize
-from .gridio import render_heatmap, write_grid_csv
+from .gridio import _check_color_limit, render_heatmap, write_grid_csv
 from .network import Activation, ConfigError, NetworkConfig, PriorSpec, uniform_config
 from .sampling import SeedSpec, generate_input, sample_layer, sample_replicas, sample_units
 
@@ -137,6 +137,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"unknown output format {fmt!r}")
     if len(doc["units"]) != 2:
         raise UsageError("units must name exactly two indices")
+    _check_color_limit(doc["color_limit"])
     return doc
 
 

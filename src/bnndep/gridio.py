@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .estimators import DeltaGrid
+from .network import _finite
 
 _CSV_HEADER = "z1,z2,delta,std_error,n"
 
@@ -78,6 +79,12 @@ def read_grid_csv(path) -> DeltaGrid:
         return parse_grid_csv(fh.read())
 
 
+def _check_color_limit(limit) -> None:
+    if limit is not None and not (isinstance(limit, (int, float)) and _finite(limit)
+                                  and limit >= 0):
+        raise ValueError(f"color_limit must be a finite number >= 0, got {limit!r}")
+
+
 def _cell_color(value: float, limit: float) -> str:
     t = 0.0 if limit <= 0 else float(np.clip(value / limit, -1.0, 1.0))
     anchor = _POS if t >= 0 else _NEG
@@ -92,6 +99,9 @@ def heatmap_svg_text(grid: DeltaGrid, color_limit: Optional[float] = None) -> st
     White is pinned at zero and the color limits are symmetric at the
     grid's max absolute value unless ``color_limit`` pins a shared scale.
     """
+    if not _finite(grid.value):
+        raise ValueError("heatmap values must be finite")
+    _check_color_limit(color_limit)
     g1, g2 = grid.value.shape
     limit = color_limit if color_limit is not None else float(np.abs(grid.value).max())
     plot = 420.0

@@ -96,6 +96,18 @@ class TestHeatmap:
         assert free != pinned
         assert free.count('fill="#b2182b"') == 1  # saturates at its own max
 
+    @pytest.mark.parametrize("color_limit", [np.nan, np.inf, -np.inf, -0.5, "1"])
+    def test_bad_color_limit_rejected(self, color_limit):
+        with pytest.raises(ValueError, match="color_limit"):
+            heatmap_svg_text(random_grid(steps=3), color_limit)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        grid = random_grid(steps=3)
+        grid.value[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            heatmap_svg_text(grid, color_limit=1.0)
+
 
 class TestOracleCommand:
     def test_delta00_width_2(self, capsys):
@@ -165,6 +177,15 @@ class TestSweepCommand:
         summary = json.loads((out1 / "summary.json").read_text())
         assert set(summary) == {"L2H2"}
         assert "mean_abs" in summary["L2H2"]
+
+    @pytest.mark.parametrize("limit", ["nan", "inf", "-0.5"])
+    def test_bad_color_limit_rejected_before_sampling(self, tmp_path, capsys, limit):
+        out = tmp_path / "o"
+        args = ["sweep", "--depths", "2", "--widths", "2", "--n", "400", "--input-dim", "10",
+                "--grid-steps", "3", "--color-limit", limit, "--out", str(out)]
+        assert main(args) == 1
+        assert "color_limit" in capsys.readouterr().err
+        assert not out.exists()  # the output directory is made just before sampling
 
     def test_formats_subset(self, tmp_path, capsys):
         args = ["sweep", "--depths", "1", "--widths", "2", "--n", "400",
