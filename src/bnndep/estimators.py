@@ -14,7 +14,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr, stdtr
-from scipy.stats import rankdata
 
 from .network import GAUSSIAN_EQUICORRELATED, GAUSSIAN_IID, STUDENT_T, PriorSpec, _finite
 from .sampling import ReplicaBatch, SampleBatch
@@ -286,17 +285,28 @@ def _strict_inversions(a: np.ndarray) -> int:
     return total
 
 
+def _run_edges(*sorted_keys: np.ndarray) -> np.ndarray:
+    """0, the start of every later run of equal key tuples, then n; rows sorted by the keys."""
+    first = sorted_keys[0]
+    differs = first[1:] != first[:-1]
+    for key in sorted_keys[1:]:
+        differs |= key[1:] != key[:-1]
+    return np.concatenate(([0], np.flatnonzero(differs) + 1, [first.shape[0]]))
+
+
 def _tie_pair_count(*sorted_keys: np.ndarray) -> int:
     """Sum over runs of equal key tuples of C(run, 2); rows sorted by the keys."""
-    first = sorted_keys[0]
-    if first.shape[0] < 2:
-        return 0
-    differs = np.zeros(first.shape[0] - 1, dtype=bool)
-    for key in sorted_keys:
-        differs |= key[1:] != key[:-1]
-    edges = np.concatenate(([0], np.flatnonzero(differs) + 1, [first.shape[0]]))
-    runs = np.diff(edges)
+    runs = np.diff(_run_edges(*sorted_keys))
     return int((runs * (runs - 1) // 2).sum())
+
+
+def _mid_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing their mean; scipy.stats.rankdata(x, "average") bit for bit."""
+    order = np.argsort(x, kind="stable")
+    edges = _run_edges(x[order])
+    ranks = np.empty(x.shape[0])
+    ranks[order] = np.repeat(0.5 * (edges[:-1] + edges[1:] + 1), np.diff(edges))
+    return ranks
 
 
 def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
@@ -336,8 +346,7 @@ def spearman_rho_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
         raise ValueError("concordance estimation needs n >= 2")
     if not _finite(u, v):
         raise ValueError("concordance estimation needs finite samples")
-    ra = rankdata(u, method="average")
-    rb = rankdata(v, method="average")
+    ra, rb = _mid_ranks(u), _mid_ranks(v)
     ac = ra - ra.mean()
     bc = rb - rb.mean()
     denom = np.sqrt((ac @ ac) * (bc @ bc))

@@ -7,7 +7,6 @@ external assets) and byte-deterministic for a given grid.
 
 from __future__ import annotations
 
-import io
 from typing import Optional
 
 import numpy as np
@@ -18,26 +17,34 @@ from .network import _finite
 _CSV_HEADER = "z1,z2,delta,std_error,n"
 
 # diverging anchors: blue for negative, white at zero, red for positive
-_NEG = (33, 102, 172)
-_MID = (255, 255, 255)
-_POS = (178, 24, 43)
+_NEG = np.array([33, 102, 172])
+_MID = np.array([255, 255, 255])
+_POS = np.array([178, 24, 43])
+_HEX = np.array([f"{i:02x}" for i in range(256)], dtype=object)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _fmt_cells(values: np.ndarray) -> list:
+    """Nested lists of each cell's _fmt, one call per bit pattern: 0.0 prints 0, -0.0 -0."""
+    bits, inverse = np.unique(np.ravel(values).astype(np.float64).view(np.uint64),
+                              return_inverse=True)
+    text = np.array([_fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].reshape(np.shape(values)).tolist()
+
+
 def grid_csv_text(grid: DeltaGrid) -> str:
     """CSV document: one row per cell, z1-major ascending."""
-    out = io.StringIO()
-    out.write(_CSV_HEADER + "\n")
-    for a, z1 in enumerate(grid.z1_values):
-        for b, z2 in enumerate(grid.z2_values):
-            out.write(
-                f"{_fmt(z1)},{_fmt(z2)},{_fmt(grid.value[a, b])},"
-                f"{_fmt(grid.std_error[a, b])},{grid.n}\n"
-            )
-    return out.getvalue()
+    z2_text = [_fmt(z) + "," for z in grid.z2_values]
+    tail = f",{grid.n}\n"
+    rows = [_CSV_HEADER + "\n"]
+    for z1, values, errors in zip(grid.z1_values, _fmt_cells(grid.value),
+                                  _fmt_cells(grid.std_error)):
+        head = _fmt(z1) + ","
+        rows += [head + z2 + v + "," + e + tail for z2, v, e in zip(z2_text, values, errors)]
+    return "".join(rows)
 
 
 def write_grid_csv(grid: DeltaGrid, path) -> None:
@@ -85,14 +92,6 @@ def _check_color_limit(limit) -> None:
         raise ValueError(f"color_limit must be a finite number >= 0, got {limit!r}")
 
 
-def _cell_color(value: float, limit: float) -> str:
-    t = 0.0 if limit <= 0 else float(np.clip(value / limit, -1.0, 1.0))
-    anchor = _POS if t >= 0 else _NEG
-    t = abs(t)
-    rgb = tuple(round(m + t * (a - m)) for m, a in zip(_MID, anchor))
-    return "#%02x%02x%02x" % rgb
-
-
 def heatmap_svg_text(grid: DeltaGrid, color_limit: Optional[float] = None) -> str:
     """Self-contained SVG heatmap of the grid.
 
@@ -117,15 +116,16 @@ def heatmap_svg_text(grid: DeltaGrid, color_limit: Optional[float] = None) -> st
         f'viewBox="0 0 {width:.0f} {height:.0f}">\n',
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n',
     ]
-    for a in range(g1):
-        for b in range(g2):
-            x = left + a * cw
-            y = top + (g2 - 1 - b) * ch  # z2 increases upward
-            color = _cell_color(float(grid.value[a, b]), limit)
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
-                f'height="{ch + 0.5:.2f}" fill="{color}"/>\n'
-            )
+    # t in [-1, 1] picks the anchor by sign and rounds half to even, as round() does
+    t = np.clip(grid.value / limit, -1.0, 1.0) if limit > 0 else np.zeros((g1, g2))
+    anchor = np.where((t >= 0)[..., None], _POS, _NEG)
+    hexes = _HEX[np.rint(_MID + np.abs(t)[..., None] * (anchor - _MID)).astype(int)]
+    colors = (hexes[..., 0] + hexes[..., 1] + hexes[..., 2]).tolist()
+    x_text = [f'<rect x="{left + a * cw:.2f}" y="' for a in range(g1)]
+    size = f'" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="#'
+    y_text = [f"{top + (g2 - 1 - b) * ch:.2f}" + size for b in range(g2)]  # z2 increases upward
+    for x, row in zip(x_text, colors):
+        parts += [x + y + c + '"/>\n' for y, c in zip(y_text, row)]
     style = 'font-family="sans-serif" font-size="13" fill="#000000"'
     ticks1 = [(0, grid.z1_values[0]), (g1 - 1, grid.z1_values[-1])]
     ticks2 = [(0, grid.z2_values[0]), (g2 - 1, grid.z2_values[-1])]

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -22,6 +23,99 @@ def random_grid(n=3000, steps=7, seed=0):
     batch = SampleBatch(rng.standard_normal(n), rng.standard_normal(n), 2, "pre", PriorSpec())
     z = np.linspace(-1.0, 1.0, steps)
     return delta_grid(batch, z, z)
+
+
+# The per-cell writers as they stood before gridio built documents from
+# precomputed strings and array colours; the writers must keep their bytes.
+def reference_csv_text(grid):
+    def fmt(x):
+        return f"{x:.17g}"
+    out = io.StringIO()
+    out.write("z1,z2,delta,std_error,n\n")
+    for a, z1 in enumerate(grid.z1_values):
+        for b, z2 in enumerate(grid.z2_values):
+            out.write(
+                f"{fmt(z1)},{fmt(z2)},{fmt(grid.value[a, b])},"
+                f"{fmt(grid.std_error[a, b])},{grid.n}\n"
+            )
+    return out.getvalue()
+
+
+def reference_cell_color(value, limit):
+    t = 0.0 if limit <= 0 else float(np.clip(value / limit, -1.0, 1.0))
+    anchor = (178, 24, 43) if t >= 0 else (33, 102, 172)
+    t = abs(t)
+    rgb = tuple(round(m + t * (a - m)) for m, a in zip((255, 255, 255), anchor))
+    return "#%02x%02x%02x" % rgb
+
+
+def reference_svg_text(grid, color_limit=None):
+    g1, g2 = grid.value.shape
+    limit = color_limit if color_limit is not None else float(np.abs(grid.value).max())
+    plot = 420.0
+    left, top, right, bottom = 58.0, 16.0, 16.0, 48.0
+    width = left + plot + right
+    height = top + plot + bottom
+    cw, ch = plot / g1, plot / g2
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">\n',
+        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n',
+    ]
+    for a in range(g1):
+        for b in range(g2):
+            x = left + a * cw
+            y = top + (g2 - 1 - b) * ch
+            color = reference_cell_color(float(grid.value[a, b]), limit)
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
+                f'height="{ch + 0.5:.2f}" fill="{color}"/>\n'
+            )
+    style = 'font-family="sans-serif" font-size="13" fill="#000000"'
+    ticks1 = [(0, grid.z1_values[0]), (g1 - 1, grid.z1_values[-1])]
+    ticks2 = [(0, grid.z2_values[0]), (g2 - 1, grid.z2_values[-1])]
+    for a, val in ticks1:
+        x = left + (a + 0.5) * cw
+        parts.append(
+            f'<text x="{x:.2f}" y="{top + plot + 18:.2f}" text-anchor="middle" '
+            f'{style}>{val:.2g}</text>\n'
+        )
+    for b, val in ticks2:
+        y = top + (g2 - 0.5 - b) * ch
+        parts.append(
+            f'<text x="{left - 6:.2f}" y="{y + 4:.2f}" text-anchor="end" '
+            f'{style}>{val:.2g}</text>\n'
+        )
+    parts.append(
+        f'<text x="{left + plot / 2:.2f}" y="{height - 10:.2f}" '
+        f'text-anchor="middle" {style}>z1</text>\n'
+    )
+    parts.append(
+        f'<text x="16" y="{top + plot / 2:.2f}" text-anchor="middle" {style} '
+        f'transform="rotate(-90 16 {top + plot / 2:.2f})">z2</text>\n'
+    )
+    parts.append("</svg>\n")
+    return "".join(parts)
+
+
+def writer_grids():
+    """Sweep-sized, random non-square, half-way-colour and signed-zero grids."""
+    yield random_grid(steps=41)
+    rng = np.random.default_rng(3)
+    relu = np.maximum(rng.standard_normal((2, 5000)), 0.0)
+    z = np.linspace(-1.0, 1.0, 41)
+    yield delta_grid(SampleBatch(relu[0], relu[1], 2, "post", PriorSpec()), z, z)
+    for g1, g2 in ((1, 1), (1, 6), (5, 9), (13, 4)):
+        z1, z2 = np.sort(rng.standard_normal(g1)), np.sort(rng.standard_normal(g2))
+        yield DeltaGrid(z1, z2, 0.01 * rng.standard_normal((g1, g2)),
+                        np.abs(rng.standard_normal((g1, g2))), int(rng.integers(2, 10**6)))
+    # at |value| / limit = 1/2 several channels land exactly on .5 (216.5, 139.5, 178.5, ...)
+    z = np.array([-1.0, 0.0, 1.0])
+    value = np.array([[0.2, -0.2, 0.4], [-0.4, 0.0, -0.0], [0.1, -0.1, 0.3]])
+    yield DeltaGrid(z, z, value, np.array([[0.0, -0.0, 1e-300]] * 3), 7)
+    yield DeltaGrid(z[:2], z[:2], np.array([[-0.0, 0.0], [0.0, -0.0]]), np.full((2, 2), -0.0), 2)
 
 
 class TestGridCsv:
@@ -51,6 +145,10 @@ class TestGridCsv:
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError):
             parse_grid_csv("a,b,c\n1,2,3\n")
+
+    def test_bytes_match_per_cell_reference(self):
+        for grid in writer_grids():
+            assert grid_csv_text(grid) == reference_csv_text(grid)
 
 
 class TestHeatmap:
@@ -95,6 +193,11 @@ class TestHeatmap:
         pinned = heatmap_svg_text(grid, color_limit=1.0)
         assert free != pinned
         assert free.count('fill="#b2182b"') == 1  # saturates at its own max
+
+    @pytest.mark.parametrize("color_limit", [None, 0, 0.4, 1e-3])
+    def test_bytes_match_per_cell_reference(self, color_limit):
+        for grid in writer_grids():
+            assert heatmap_svg_text(grid, color_limit) == reference_svg_text(grid, color_limit)
 
     @pytest.mark.parametrize("color_limit", [np.nan, np.inf, -np.inf, -0.5, "1"])
     def test_bad_color_limit_rejected(self, color_limit):

@@ -1,11 +1,22 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from bnndep.estimators import kendall_tau, kendall_tau_arrays, spearman_rho, spearman_rho_arrays
+import bnndep
+from bnndep.estimators import (
+    _mid_ranks,
+    kendall_tau,
+    kendall_tau_arrays,
+    spearman_rho,
+    spearman_rho_arrays,
+)
 from bnndep.exact import brute_force_tau
 from bnndep.network import PriorSpec
 from bnndep.sampling import SampleBatch
@@ -72,6 +83,54 @@ class TestSpearmanHandValues:
         rv = np.array([1.0, 2.5, 2.5])
         expected = np.corrcoef(ru, rv)[0, 1]
         assert e.value == pytest.approx(expected, rel=1e-12)
+
+
+def tied_batches():
+    """(u, v) pairs with heavy ties: ReLU zeros, rounded values, three levels; n from 2 up."""
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 5, 8, 17, 100, 1000, 20000):
+        for _ in range(3):
+            x = rng.standard_normal((2, n))
+            yield np.maximum(x, 0.0)
+            yield np.round(x, 1)
+            yield rng.integers(0, 3, (2, n)).astype(float)
+
+
+def reference_spearman(u, v):
+    """spearman_rho_arrays's value as computed through scipy.stats.rankdata."""
+    ac = rankdata(u, method="average")
+    bc = rankdata(v, method="average")
+    ac, bc = ac - ac.mean(), bc - bc.mean()
+    denom = np.sqrt((ac @ ac) * (bc @ bc))
+    if denom == 0.0:
+        return None
+    return float(np.clip((ac @ bc) / denom, -1.0, 1.0))
+
+
+class TestMidRanks:
+    def test_equal_scipy_rankdata_bitwise(self):
+        for batch in tied_batches():
+            for x in batch:
+                assert _mid_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    def test_spearman_keeps_its_bits(self):
+        checked = 0
+        for u, v in tied_batches():
+            expected = reference_spearman(u, v)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    spearman_rho_arrays(u, v)
+            else:
+                assert spearman_rho_arrays(u, v).value.hex() == expected.hex()
+                checked += 1
+        assert checked >= 70
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(bnndep.__file__).resolve().parent.parent)
+        code = "import sys, bnndep; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"
 
 
 @st.composite
