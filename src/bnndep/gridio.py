@@ -64,20 +64,31 @@ def parse_grid_csv(text: str) -> DeltaGrid:
     rows = [line.split(",") for line in lines[1:]]
     if not rows:
         raise ValueError("no data rows")
+    if any(len(r) != 5 for r in rows):
+        raise ValueError("every data row needs five fields")
     z1 = sorted({float(r[0]) for r in rows})
     z2 = sorted({float(r[1]) for r in rows})
     g1, g2 = len(z1), len(z2)
-    if len(rows) != g1 * g2:
-        raise ValueError("row count does not fill the grid")
+    if len(rows) != g1 * g2 or not _finite(z1, z2):
+        raise ValueError("rows do not fill a grid of finite thresholds")
     value = np.empty((g1, g2))
     se = np.empty((g1, g2))
     n = int(rows[0][4])
     index1 = {v: i for i, v in enumerate(z1)}
     index2 = {v: i for i, v in enumerate(z2)}
+    cells = set()
     for r in rows:
+        if int(r[4]) != n:
+            raise ValueError("rows disagree on n")
         a, b = index1[float(r[0])], index2[float(r[1])]
+        cells.add((a, b))
         value[a, b] = float(r[2])
         se[a, b] = float(r[3])
+    # g1 * g2 rows cover every cell unless one is repeated
+    if len(cells) != g1 * g2:
+        raise ValueError("duplicate or missing (z1, z2) cells")
+    if not _finite(value, se):
+        raise ValueError("delta and std_error must be finite")
     return DeltaGrid(np.array(z1), np.array(z2), value, se, n)
 
 

@@ -150,6 +150,30 @@ class TestGridCsv:
         for grid in writer_grids():
             assert grid_csv_text(grid) == reference_csv_text(grid)
 
+    def test_parse_rejects_duplicate_cell(self):
+        # rows (a, a), (a, b), (b, a), (b, b): repeating (a, b) in place of (b, a)
+        # keeps the row count and both threshold sets, so only the cell check sees it
+        lines = grid_csv_text(random_grid(steps=2)).split("\n")
+        lines[3] = lines[2]
+        with pytest.raises(ValueError, match="duplicate or missing"):
+            parse_grid_csv("\n".join(lines))
+
+    def test_parse_rejects_mixed_n(self):
+        lines = grid_csv_text(random_grid(steps=2)).split("\n")
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",17"
+        with pytest.raises(ValueError, match="disagree on n"):
+            parse_grid_csv("\n".join(lines))
+
+    @pytest.mark.parametrize("column", [2, 3])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_parse_rejects_non_finite(self, column, bad):
+        lines = grid_csv_text(random_grid(steps=2)).split("\n")
+        fields = lines[1].split(",")
+        fields[column] = bad
+        lines[1] = ",".join(fields)
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_grid_csv("\n".join(lines))
+
 
 class TestHeatmap:
     def test_all_zero_grid_is_white(self):
