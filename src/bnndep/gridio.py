@@ -127,7 +127,7 @@ def heatmap_svg_text(grid: DeltaGrid, color_limit: Optional[float] = None) -> st
         f'viewBox="0 0 {width:.0f} {height:.0f}">\n',
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n',
     ]
-    # t in [-1, 1] picks the anchor by sign and rounds half to even, as round() does
+    # np.rint rounds half to even, as the built-in round() does, so colours keep their bytes
     t = np.clip(grid.value / limit, -1.0, 1.0) if limit > 0 else np.zeros((g1, g2))
     anchor = np.where((t >= 0)[..., None], _POS, _NEG)
     hexes = _HEX[np.rint(_MID + np.abs(t)[..., None] * (anchor - _MID)).astype(int)]
