@@ -7,6 +7,7 @@ external assets) and byte-deterministic for a given grid.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -27,23 +28,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fmt_cells(values: np.ndarray) -> list:
-    """Nested lists of each cell's _fmt, one call per bit pattern: 0.0 prints 0, -0.0 -0."""
-    bits, inverse = np.unique(np.ravel(values).astype(np.float64).view(np.uint64),
-                              return_inverse=True)
-    text = np.array([_fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].reshape(np.shape(values)).tolist()
-
-
 def grid_csv_text(grid: DeltaGrid) -> str:
     """CSV document: one row per cell, z1-major ascending."""
     z2_text = [_fmt(z) + "," for z in grid.z2_values]
     tail = f",{grid.n}\n"
     rows = [_CSV_HEADER + "\n"]
-    for z1, values, errors in zip(grid.z1_values, _fmt_cells(grid.value),
-                                  _fmt_cells(grid.std_error)):
+    for z1, values, errors in zip(grid.z1_values, grid.value.tolist(), grid.std_error.tolist()):
         head = _fmt(z1) + ","
-        rows += [head + z2 + v + "," + e + tail for z2, v, e in zip(z2_text, values, errors)]
+        rows += [head + z2 + _fmt(v) + "," + _fmt(e) + tail
+                 for z2, v, e in zip(z2_text, values, errors)]
     return "".join(rows)
 
 
@@ -98,8 +91,9 @@ def read_grid_csv(path) -> DeltaGrid:
 
 
 def _check_color_limit(limit) -> None:
-    if limit is not None and not (isinstance(limit, (int, float)) and _finite(limit)
-                                  and limit >= 0):
+    # numpy scalars are Real; bool is an int but no colour limit
+    if limit is not None and not (isinstance(limit, Real) and not isinstance(limit, bool)
+                                  and _finite(limit) and limit >= 0):
         raise ValueError(f"color_limit must be a finite number >= 0, got {limit!r}")
 
 
@@ -127,8 +121,10 @@ def heatmap_svg_text(grid: DeltaGrid, color_limit: Optional[float] = None) -> st
         f'viewBox="0 0 {width:.0f} {height:.0f}">\n',
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n',
     ]
+    # each cell divides as float(value) / limit would (in float32 for a float32 limit), and
     # np.rint rounds half to even, as the built-in round() does, so colours keep their bytes
-    t = np.clip(grid.value / limit, -1.0, 1.0) if limit > 0 else np.zeros((g1, g2))
+    t = (np.clip(np.divide(grid.value, limit, dtype=np.result_type(1.0, limit)), -1.0, 1.0)
+         .astype(float) if limit > 0 else np.zeros((g1, g2)))
     anchor = np.where((t >= 0)[..., None], _POS, _NEG)
     hexes = _HEX[np.rint(_MID + np.abs(t)[..., None] * (anchor - _MID)).astype(int)]
     colors = (hexes[..., 0] + hexes[..., 1] + hexes[..., 2]).tolist()

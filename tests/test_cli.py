@@ -218,12 +218,15 @@ class TestHeatmap:
         assert free != pinned
         assert free.count('fill="#b2182b"') == 1  # saturates at its own max
 
-    @pytest.mark.parametrize("color_limit", [None, 0, 0.4, 1e-3])
+    # a float32 limit divides in float32, as the per-cell loop's float / np.float32 did
+    @pytest.mark.parametrize("color_limit", [None, 0, 0.4, 1e-3, np.float32(0.05),
+                                             np.float32(0.4), np.int64(1)])
     def test_bytes_match_per_cell_reference(self, color_limit):
         for grid in writer_grids():
             assert heatmap_svg_text(grid, color_limit) == reference_svg_text(grid, color_limit)
 
-    @pytest.mark.parametrize("color_limit", [np.nan, np.inf, -np.inf, -0.5, "1"])
+    @pytest.mark.parametrize("color_limit", [np.nan, np.inf, -np.inf, -0.5, "1", True,
+                                             np.float32(np.nan)])
     def test_bad_color_limit_rejected(self, color_limit):
         with pytest.raises(ValueError, match="color_limit"):
             heatmap_svg_text(random_grid(steps=3), color_limit)

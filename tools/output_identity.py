@@ -7,7 +7,8 @@ every subcommand at each seed (sweeps with their CSV/SVG/JSON files, one-grid
 ``delta`` runs, ``concordance``, ``pd``, ``oracle``, ``selftest`` with its
 JSON report, ``print-config``) and every ``--help`` page once.  Each run's
 stdout, stderr, exit code and files land in one directory per run, and
-``diff -r`` compares the two trees.  The exit status is 0 when they match.
+``diff -r`` compares the two trees.  The exit status is 0 when they match;
+otherwise the scratch directory is kept and its path printed.
 Run from the repository root:
 
     python3 tools/output_identity.py --base HEAD --seeds 1-3 --n 2000
@@ -90,10 +91,10 @@ def main() -> int:
     parser.add_argument("--base", required=True, help="git ref to compare against, e.g. HEAD")
     parser.add_argument("--seeds", default="1-3", help="seeds, e.g. 1-3,7")
     parser.add_argument("--n", type=int, default=2000)
-    parser.add_argument("--keep", action="store_true", help="keep the scratch directory")
     args = parser.parse_args()
     plan = runs(seed_list(args.seeds), args.n)
     scratch = Path(tempfile.mkdtemp(prefix="bnndep_identity_"))
+    diff = None
     try:
         base_tree = scratch / "base_tree"
         base_tree.mkdir()
@@ -110,11 +111,11 @@ def main() -> int:
         verdict = "identical" if diff.returncode == 0 else "DIFFERENT"
         print(f"{verdict}: {len(plan)} runs per side, {files} files per side, "
               f"base {args.base}, seeds {args.seeds}, n={args.n}")
-        if args.keep:
-            print(f"kept {scratch}")
         return diff.returncode
     finally:
-        if not args.keep:
+        if diff is not None and diff.returncode != 0:
+            print(f"kept {scratch} for inspection")
+        else:
             shutil.rmtree(scratch)
 
 
