@@ -7,7 +7,6 @@ from .estimators import (
     PdProfile,
     conditional_exceedance,
     covariance,
-    delta_combo,
     delta_grid,
     delta_lower,
     delta_upper,
@@ -19,7 +18,6 @@ from .estimators import (
 from .exact import (
     DiscreteNetSpec,
     analytic_delta_zero,
-    analytic_delta_zero_z,
     brute_force_tau,
     enumerate_exact_delta,
     toy_relu_net,

@@ -58,15 +58,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _fits(default, value) -> bool:
+    """Whether ``value`` has the type of ``default``; numbers are never bools."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if default is None or isinstance(default, float):
+        # a None default (prior.nu, color_limit) is an optional number
+        return isinstance(value, (int, float)) or (default is None and value is None)
+    return isinstance(value, type(default))
+
+
 def _merge_config(base: dict, override: dict, context: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
             raise UsageError(f"unknown config key {context + key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge_config(out[key], value, context + key + ".")
-        else:
-            out[key] = value
+        if not _fits(out[key], value):
+            raise UsageError(f"config key {context + key!r} cannot be {json.dumps(value)}; "
+                             f"its default is {json.dumps(out[key])}")
+        if isinstance(value, dict):
+            value = _merge_config(out[key], value, context + key + ".")
+        out[key] = value
     return out
 
 
@@ -135,6 +149,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for fmt in doc["formats"]:
         if fmt not in ("csv", "svg", "json"):
             raise UsageError(f"unknown output format {fmt!r}")
+    if not (doc["depths"] and doc["widths"]):
+        raise UsageError("depths and widths must each name at least one value")
     if len(doc["units"]) != 2:
         raise UsageError("units must name exactly two indices")
     _check_color_limit(doc["color_limit"])
@@ -214,8 +230,8 @@ def cmd_delta(args) -> int:
                              workers=doc["workers"])
     else:
         batch = sample_replicas(config, x, layer, pair, doc["tap"], doc["n"], seed,
-                                workers=doc["workers"])
-    grid = est.delta_grid(batch, z, z, tail=args.tail, combo=args.combo)
+                                workers=doc["workers"]).combined(args.combo)
+    grid = est.delta_grid(batch, z, z, tail=args.tail)
     out_dir = Path(doc["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in doc["formats"]:

@@ -16,14 +16,10 @@ import numpy as np
 from scipy.special import ndtr, stdtr
 
 from .network import GAUSSIAN_EQUICORRELATED, GAUSSIAN_IID, STUDENT_T, PriorSpec, _finite
-from .sampling import ReplicaBatch, SampleBatch
+from .sampling import SampleBatch
 
 UPPER = "upper"
 LOWER = "lower"
-
-SINGLE = "single"
-SUM_OF_COPIES = "sum"
-DIFF_OF_COPIES = "diff"
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,6 @@ class DeltaGrid:
     std_error: np.ndarray
     n: int
     tail: str = UPPER
-    combo: str = SINGLE
     null_std_error: Optional[np.ndarray] = None
 
     def cell(self, a: int, b: int) -> EstimateWithError:
@@ -76,6 +71,16 @@ class PdProfile:
     left_tail: list[Optional[EstimateWithError]]
     min_right: Optional[float]
     min_left: Optional[float]
+
+
+def _sample_count(what: str, *values) -> int:
+    """Length of the first array, after checking it is >= 2 and every value is finite."""
+    n = values[0].shape[0]
+    if n < 2:
+        raise ValueError(f"{what} needs n >= 2")
+    if not _finite(*values):
+        raise ValueError(f"{what} needs finite values")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +113,7 @@ def _delta_from_counts(c11, c1, c2, n: int):
 
 
 def _delta_xy(u: np.ndarray, v: np.ndarray, z1: float, z2: float, tail: str) -> EstimateWithError:
-    n = u.shape[0]
-    if n < 2:
-        raise ValueError("exceedance-difference estimation needs n >= 2")
-    if not _finite(u, v, z1, z2):
-        raise ValueError("samples and thresholds must be finite")
+    n = _sample_count("exceedance-difference estimation", u, v, z1, z2)
     if tail == UPPER:
         m1, m2 = u >= z1, v >= z2
     elif tail == LOWER:
@@ -136,26 +137,11 @@ def delta_lower(batch: SampleBatch, z1: float, z2: float) -> EstimateWithError:
     return _delta_xy(batch.u, batch.v, z1, z2, LOWER)
 
 
-def _combo_arrays(replicas: ReplicaBatch, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    if mode == SUM_OF_COPIES:
-        return replicas.u1 + replicas.u2, replicas.v1 + replicas.v2
-    if mode == DIFF_OF_COPIES:
-        return replicas.u1 - replicas.u2, replicas.v1 - replicas.v2
-    raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
-
-
-def delta_combo(replicas: ReplicaBatch, z1: float, z2: float, mode: str) -> EstimateWithError:
-    """Exceedance difference for sums or differences of independent copies."""
-    cu, cv = _combo_arrays(replicas, mode)
-    return _delta_xy(cu, cv, z1, z2, UPPER)
-
-
 def delta_grid(
-    batch: Union[SampleBatch, ReplicaBatch],
+    batch: SampleBatch,
     z1_values: Sequence[float],
     z2_values: Sequence[float],
     tail: str = UPPER,
-    combo: str = SINGLE,
 ) -> DeltaGrid:
     """Evaluate the exceedance difference on a full threshold grid.
 
@@ -170,19 +156,8 @@ def delta_grid(
         raise ValueError("threshold grids must be non-empty")
     if np.any(np.diff(z1) <= 0) or np.any(np.diff(z2) <= 0):
         raise ValueError("threshold grids must be strictly increasing")
-    if combo == SINGLE:
-        if not isinstance(batch, SampleBatch):
-            raise ValueError("combo 'single' needs a SampleBatch")
-        u, v = batch.u, batch.v
-    else:
-        if not isinstance(batch, ReplicaBatch):
-            raise ValueError(f"combo {combo!r} needs a ReplicaBatch")
-        u, v = _combo_arrays(batch, combo)
-    n = u.shape[0]
-    if n < 2:
-        raise ValueError("exceedance-difference estimation needs n >= 2")
-    if not _finite(u, v, z1, z2):
-        raise ValueError("samples and thresholds must be finite")
+    u, v = batch.u, batch.v
+    n = _sample_count("exceedance-difference estimation", u, v, z1, z2)
     if tail not in (UPPER, LOWER):
         raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
 
@@ -203,17 +178,15 @@ def delta_grid(
     value, se = _delta_from_counts(c11, c1[:, None], c2[None, :], n)
     p1, p2 = c1 / n, c2 / n
     null_se = np.sqrt(np.outer(p1 * (1.0 - p1), p2 * (1.0 - p2)) / n)
-    return DeltaGrid(z1, z2, value, se, n, tail, combo, null_se)
+    return DeltaGrid(z1, z2, value, se, n, tail, null_se)
 
 
 # ---------------------------------------------------------------------------
 # Covariance
 # ---------------------------------------------------------------------------
 
-def _cov_with_se(x: np.ndarray, y: np.ndarray) -> EstimateWithError:
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("covariance estimation needs n >= 2")
+def _cov_with_se(x: np.ndarray, y: np.ndarray, n: int) -> EstimateWithError:
+    """Covariance of n checked pairs (see :func:`_sample_count`)."""
     xc = x - x.mean()
     yc = y - y.mean()
     prod = xc * yc
@@ -225,7 +198,8 @@ def _cov_with_se(x: np.ndarray, y: np.ndarray) -> EstimateWithError:
 
 def covariance(batch: SampleBatch) -> EstimateWithError:
     """Unbiased sample covariance of the unit pair, influence-function SE."""
-    return _cov_with_se(batch.u, batch.v)
+    return _cov_with_se(batch.u, batch.v,
+                        _sample_count("covariance estimation", batch.u, batch.v))
 
 
 def bootstrap_std_error(
@@ -317,11 +291,7 @@ def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     concordant count.  The SE is the classical variance of tau under the
     independence null.
     """
-    n = u.shape[0]
-    if n < 2:
-        raise ValueError("concordance estimation needs n >= 2")
-    if not _finite(u, v):
-        raise ValueError("concordance estimation needs finite samples")
+    n = _sample_count("concordance estimation", u, v)
     order = np.lexsort((v, u))
     us, vs = u[order], v[order]
     discordant = _strict_inversions(vs)
@@ -341,11 +311,7 @@ def kendall_tau(batch: SampleBatch) -> EstimateWithError:
 
 def spearman_rho_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     """Pearson correlation of mid-ranks; SE under the independence null."""
-    n = u.shape[0]
-    if n < 2:
-        raise ValueError("concordance estimation needs n >= 2")
-    if not _finite(u, v):
-        raise ValueError("concordance estimation needs finite samples")
+    n = _sample_count("concordance estimation", u, v)
     ra, rb = _mid_ranks(u), _mid_ranks(v)
     ac = ra - ra.mean()
     bc = rb - rb.mean()
@@ -374,8 +340,8 @@ def conditional_exceedance(prior: PriorSpec, z: float, y) -> Union[float, np.nda
     projection is exactly zero, so the value is 1 when z <= 0 and 0 above.
     """
     y_arr = np.asarray(y, dtype=np.float64)
-    if np.any(y_arr < 0):
-        raise ValueError("the conditioning norm must be non-negative")
+    if not _finite(y_arr) or np.any(y_arr < 0):
+        raise ValueError("the conditioning norm must be finite and non-negative")
     if prior.family in (GAUSSIAN_IID, GAUSSIAN_EQUICORRELATED):
         def survival(q):
             return ndtr(-q)
@@ -403,9 +369,10 @@ def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWit
         raise ValueError("batch was sampled without previous-layer norms")
     if batch.layer < 2:
         raise ValueError("conditioning on the previous layer needs layer >= 2")
+    n = _sample_count("covariance estimation", batch.prev_norms)
     a = conditional_exceedance(batch.prior, z1, batch.prev_norms)
     b = conditional_exceedance(batch.prior, z2, batch.prev_norms)
-    return _cov_with_se(a, b)
+    return _cov_with_se(a, b, n)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +390,7 @@ def pd_profile(layer_samples: np.ndarray, z_values: Sequence[float]) -> PdProfil
     samples = np.asarray(layer_samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] < 2:
         raise ValueError("need an (n, N) matrix with N >= 2 units")
-    if samples.shape[0] < 2:
-        raise ValueError("positive-dependence estimation needs n >= 2")
+    _sample_count("positive-dependence estimation", samples)
     z = np.asarray(z_values, dtype=np.float64)
     lead, last = samples[:, :-1], samples[:, -1]
     all_up = np.all(lead >= 0.0, axis=1)

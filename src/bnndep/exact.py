@@ -176,28 +176,6 @@ def analytic_delta_zero(prev_width: int, activation: Activation = RELU) -> Fract
     return p * (1 - p) / 4
 
 
-def analytic_delta_zero_z(
-    prev_width: int,
-    z: float,
-    mc_expectation: float,
-    activation: Activation = RELU,
-) -> float:
-    """Exceedance difference at (0, z) given the off-atom exceedance mean.
-
-    ``mc_expectation`` is E[P(w'X >= z | X != 0)], supplied by the caller
-    (typically a Monte Carlo average of conditional exceedances).
-    """
-    if activation.kind != "relu":
-        raise ValueError("closed form requires the relu activation")
-    p = Fraction(1, 2**prev_width)
-    half_pq = float(p * (1 - p) / 2)
-    if z > 0:
-        return -half_pq * mc_expectation
-    if z < 0:
-        return half_pq * (1.0 - mc_expectation)
-    return float(p * (1 - p) / 4)
-
-
 # ---------------------------------------------------------------------------
 # O(n^2) concordance reference
 # ---------------------------------------------------------------------------

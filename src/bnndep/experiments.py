@@ -19,6 +19,8 @@ from . import estimators as est
 from . import exact
 from .network import IDENTITY, RELU, Activation, PriorSpec, _finite, uniform_config
 from .sampling import (
+    DIFF_OF_COPIES,
+    SUM_OF_COPIES,
     SampleBatch,
     SeedSpec,
     generate_input,
@@ -296,7 +298,6 @@ def _concordance_null(batch: SampleBatch) -> tuple[bool, dict]:
     return ok, detail
 
 
-_ORIGIN_TARGETS = {h: exact.analytic_delta_zero(h) for h in (2, 5, 10)}
 # Batches behind criterion 9's repeated-seed variance comparison.
 RB_SEEDS = 30
 
@@ -353,7 +354,7 @@ def acceptance_suite(
         for h in (2, 5, 10):
             batch = draw((label, h), h, 2, count=10 * n if h == 10 else n,
                          prior=PriorSpec(sigma0=sigma0))
-            e, target = est.delta_upper(batch, 0.0, 0.0), float(_ORIGIN_TARGETS[h])
+            e, target = est.delta_upper(batch, 0.0, 0.0), float(exact.analytic_delta_zero(h))
             parts[f"H{h}"] = _within(e.value, e.std_error, target), {
                 "estimate": e.value, "target": target, "tolerance": 4.0 * e.std_error, "n": e.n}
         return _combine(parts)
@@ -379,8 +380,8 @@ def acceptance_suite(
                                    seed.child(7), workers=workers)
         center = int(np.argmin(np.abs(z)))
         parts = {}
-        for mode in (est.SUM_OF_COPIES, est.DIFF_OF_COPIES):
-            g = est.delta_grid(replicas, z, z, combo=mode)
+        for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
+            g = est.delta_grid(replicas.combined(mode), z, z)
             viol, c = quadrant_sign_violations(g), g.cell(center, center)
             parts[mode] = viol == 0 and c.value >= -4.0 * c.std_error, {
                 "violations": viol, "center": c.value, "center_se": c.std_error}

@@ -48,8 +48,8 @@ def write_grid_csv(grid: DeltaGrid, path) -> None:
 def parse_grid_csv(text: str) -> DeltaGrid:
     """Rebuild a grid from its CSV form; exact inverse of grid_csv_text.
 
-    Tail and combo labels are not stored in the CSV, so the parsed grid
-    carries the defaults.
+    The tail label is not stored in the CSV, so the parsed grid carries
+    the default.
     """
     lines = text.strip().split("\n")
     if not lines or lines[0] != _CSV_HEADER:

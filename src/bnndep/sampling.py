@@ -32,6 +32,10 @@ STREAM_INPUT = 0
 STREAM_WEIGHTS = 1
 STREAM_DISCRETE = 2
 
+# Row-wise combinations of two independent copies (ReplicaBatch.combined).
+SUM_OF_COPIES = "sum"
+DIFF_OF_COPIES = "diff"
+
 # Samples per block.  Fixed, so a depth-l draw is the exact prefix of a
 # depth-L draw from the same seed.
 _BLOCK = 4096
@@ -102,6 +106,16 @@ class ReplicaBatch:
     @property
     def n(self) -> int:
         return self.u1.shape[0]
+
+    def combined(self, mode: str) -> SampleBatch:
+        """Row-wise sums or differences of the two copies, as one batch without norms."""
+        if mode == SUM_OF_COPIES:
+            u, v = self.u1 + self.u2, self.v1 + self.v2
+        elif mode == DIFF_OF_COPIES:
+            u, v = self.u1 - self.u2, self.v1 - self.v2
+        else:
+            raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
+        return SampleBatch(u, v, self.layer, self.tap, self.prior)
 
 
 # ---------------------------------------------------------------------------

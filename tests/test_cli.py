@@ -289,6 +289,53 @@ class TestConfigHandling:
     def test_bad_units_rejected(self):
         assert main(["print-config", "--units", "1,2,3"]) == 1
 
+    @staticmethod
+    def config_exit(tmp_path, capsys, text, *args):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code = main([*(args or ["print-config"]), "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("command,text", [
+        ("sweep", '{"n": "abc"}'),
+        ("sweep", '{"depths": 3}'),
+        ("delta", '{"grid": {"steps": 4.5}}'),
+    ])
+    def test_mistyped_config_is_a_usage_error(self, tmp_path, capsys, command, text):
+        out = tmp_path / "o"
+        code, _, err = self.config_exit(tmp_path, capsys, text, command, "--input-dim", "5",
+                                        "--out", str(out))
+        assert code == 1 and err.startswith("bnndep: error: config key")
+        assert not out.exists()
+
+    def test_int_key_takes_int_but_not_bool(self, tmp_path, capsys):
+        code, out, _ = self.config_exit(tmp_path, capsys, '{"seed": 7}')
+        assert code == 0 and json.loads(out)["seed"] == 7
+        for text in ('{"seed": true}', '{"seed": 7.0}', '{"seed": "7"}'):
+            assert self.config_exit(tmp_path, capsys, text)[0] == 1
+
+    def test_float_key_takes_any_real_but_bool(self, tmp_path, capsys):
+        code, out, _ = self.config_exit(tmp_path, capsys, '{"prior": {"sigma0": 2}}')
+        assert code == 0 and json.loads(out)["prior"]["sigma0"] == 2
+        for text in ('{"prior": {"sigma0": true}}', '{"prior": {"sigma0": "2"}}',
+                     '{"prior": {"sigma0": null}}'):
+            assert self.config_exit(tmp_path, capsys, text)[0] == 1
+
+    def test_none_key_takes_none_or_real(self, tmp_path, capsys):
+        for text in ('{"prior": {"nu": 5}}', '{"prior": {"nu": 4.5}}', '{"color_limit": null}'):
+            assert self.config_exit(tmp_path, capsys, text)[0] == 0
+        for text in ('{"prior": {"nu": "5"}}', '{"prior": {"nu": false}}',
+                     '{"color_limit": [0.1]}'):
+            assert self.config_exit(tmp_path, capsys, text)[0] == 1
+
+    def test_list_key_takes_list_of_default_element_type(self, tmp_path, capsys):
+        code, out, _ = self.config_exit(tmp_path, capsys, '{"depths": [2, 3]}')
+        assert code == 0 and json.loads(out)["depths"] == [2, 3]
+        for text in ('{"depths": [2, 2.5]}', '{"units": [0, true]}', '{"widths": "2,5"}',
+                     '{"grid": 3}'):
+            assert self.config_exit(tmp_path, capsys, text)[0] == 1
+
 
 class TestSweepCommand:
     def test_outputs_and_determinism(self, tmp_path, capsys):
@@ -316,6 +363,13 @@ class TestSweepCommand:
         assert main(args) == 1
         assert "color_limit" in capsys.readouterr().err
         assert not out.exists()  # the output directory is made just before sampling
+
+    @pytest.mark.parametrize("flag", ["--depths", "--widths"])
+    def test_empty_depth_or_width_list_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert main(["sweep", flag, ",", "--n", "400", "--out", str(out)]) == 1
+        assert "at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_formats_subset(self, tmp_path, capsys):
         args = ["sweep", "--depths", "1", "--widths", "2", "--n", "400",

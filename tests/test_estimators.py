@@ -6,14 +6,11 @@ from scipy.special import erfc
 from scipy.stats import t as student_t
 
 from bnndep.estimators import (
-    DIFF_OF_COPIES,
     LOWER,
-    SUM_OF_COPIES,
     UPPER,
     bootstrap_std_error,
     conditional_exceedance,
     covariance,
-    delta_combo,
     delta_grid,
     delta_lower,
     delta_upper,
@@ -21,7 +18,15 @@ from bnndep.estimators import (
     rao_blackwell_delta,
 )
 from bnndep.network import PriorSpec, uniform_config
-from bnndep.sampling import ReplicaBatch, SampleBatch, SeedSpec, generate_input, sample_units
+from bnndep.sampling import (
+    DIFF_OF_COPIES,
+    SUM_OF_COPIES,
+    ReplicaBatch,
+    SampleBatch,
+    SeedSpec,
+    generate_input,
+    sample_units,
+)
 
 
 def make_batch(u, v, layer=2, prev_norms=None):
@@ -131,7 +136,7 @@ class TestDeltaCombo:
         u = rng.standard_normal(50)
         v = rng.standard_normal(50)
         reps = ReplicaBatch(u, v, -u, -v, 2, "pre", PriorSpec())
-        e = delta_combo(reps, 0.0, 0.0, SUM_OF_COPIES)
+        e = delta_upper(reps.combined(SUM_OF_COPIES), 0.0, 0.0)
         assert e.value == 0.0  # all sums are exactly zero, p11 = p1 = p2 = 1
 
     def test_exchanged_units_are_symmetric(self):
@@ -139,14 +144,27 @@ class TestDeltaCombo:
         arrays = rng.standard_normal((4, 100))
         reps = ReplicaBatch(*arrays, 2, "pre", PriorSpec())
         swapped = ReplicaBatch(arrays[1], arrays[0], arrays[3], arrays[2], 2, "pre", PriorSpec())
-        a = delta_combo(reps, 0.1, 0.1, DIFF_OF_COPIES)
-        b = delta_combo(swapped, 0.1, 0.1, DIFF_OF_COPIES)
+        a = delta_upper(reps.combined(DIFF_OF_COPIES), 0.1, 0.1)
+        b = delta_upper(swapped.combined(DIFF_OF_COPIES), 0.1, 0.1)
         assert a.value == b.value
 
     def test_mode_validation(self):
         reps = ReplicaBatch(*(np.zeros(3),) * 4, 2, "pre", PriorSpec())
         with pytest.raises(ValueError):
-            delta_combo(reps, 0, 0, "product")
+            delta_upper(reps.combined("product"), 0, 0)
+        with pytest.raises(ValueError, match="mode must be"):
+            reps.combined("single")  # the CLI's one-network value never reaches combined
+
+    def test_combined_is_bitwise_sum_and_difference(self):
+        rng = np.random.default_rng(5)
+        u1, v1, u2, v2 = rng.standard_normal((4, 200)) * 10.0 ** rng.integers(-8, 8, (4, 200))
+        reps = ReplicaBatch(u1, v1, u2, v2, 3, "post", PriorSpec(sigma0=2.0))
+        for mode, (u, v) in ((SUM_OF_COPIES, (u1 + u2, v1 + v2)),
+                             (DIFF_OF_COPIES, (u1 - u2, v1 - v2))):
+            batch = reps.combined(mode)
+            assert batch.u.tobytes() == u.tobytes() and batch.v.tobytes() == v.tobytes()
+            assert (batch.layer, batch.tap, batch.prior) == (3, "post", PriorSpec(sigma0=2.0))
+            assert batch.prev_norms is None
 
 
 class TestCovariance:
@@ -166,6 +184,13 @@ class TestCovariance:
         v = pairs[:, 0, 1] + pairs[:, 1, 1]
         e = covariance(make_batch(u, v))
         assert abs(e.value - target) <= 4 * e.std_error
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="covariance estimation needs finite"):
+            covariance(make_batch([0.5, bad, 1.0, -1.0], [1.0, 2.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="covariance estimation needs finite"):
+            covariance(make_batch([0.5, 2.0, 1.0, -1.0], [1.0, 2.0, bad, 1.0]))
 
     @given(
         st.lists(st.integers(-50, 50), min_size=3, max_size=60),
@@ -223,6 +248,15 @@ class TestConditionalExceedance:
         with pytest.raises(ValueError):
             conditional_exceedance(PriorSpec(), 0.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_rejected(self, bad):
+        # a NaN norm would count as a dead layer, an infinite one as z / y = 0
+        for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.0)):
+            with pytest.raises(ValueError, match="finite"):
+                conditional_exceedance(prior, 0.5, bad)
+            with pytest.raises(ValueError, match="finite"):
+                conditional_exceedance(prior, 0.5, np.array([1.0, bad, 0.0]))
+
 
 class TestRaoBlackwell:
     def test_equal_thresholds_give_nonnegative_variance(self):
@@ -237,6 +271,13 @@ class TestRaoBlackwell:
         shallow = SampleBatch(np.zeros(5), np.ones(5), 1, "pre", PriorSpec(), np.ones(5))
         with pytest.raises(ValueError):
             rao_blackwell_delta(shallow, 0, 0)
+
+    def test_non_finite_norm_rejected(self):
+        norms = np.abs(np.random.default_rng(2).standard_normal(100))
+        norms[17] = np.nan
+        batch = make_batch(np.zeros(100), np.zeros(100), prev_norms=norms)
+        with pytest.raises(ValueError, match="finite"):
+            rao_blackwell_delta(batch, 0.7, 0.2)
 
     def test_agrees_with_indicator_estimator(self):
         x = generate_input(40, SeedSpec(31))
@@ -289,6 +330,14 @@ class TestPdProfile:
         with pytest.raises(ValueError):
             # both tails empty cannot happen with one z; force via empty z list semantics
             pd_profile(mm, [])
+
+    def test_non_finite_row_rejected(self):
+        m = np.random.default_rng(11).standard_normal((50, 3))
+        for row, col, bad in ((4, 0, np.nan), (9, 2, np.nan), (20, 1, np.inf)):
+            mm = m.copy()
+            mm[row, col] = bad
+            with pytest.raises(ValueError, match="positive-dependence estimation needs finite"):
+                pd_profile(mm, [0.0])
 
 
 class TestDeltaGrid:
@@ -351,6 +400,6 @@ class TestDeltaGrid:
         reps = ReplicaBatch(*arrays, 2, "pre", PriorSpec())
         z = np.array([-0.5, 0.0, 0.5])
         for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
-            grid = delta_grid(reps, z, z, combo=mode)
-            e = delta_combo(reps, 0.0, 0.5, mode)
+            grid = delta_grid(reps.combined(mode), z, z)
+            e = delta_upper(reps.combined(mode), 0.0, 0.5)
             assert grid.value[1, 2] == e.value

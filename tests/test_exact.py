@@ -9,7 +9,6 @@ from bnndep.exact import (
     DiscreteNetSpec,
     _last_pre,
     analytic_delta_zero,
-    analytic_delta_zero_z,
     enumerate_exact_delta,
     sample_discrete_net,
     toy_relu_net,
@@ -121,14 +120,6 @@ class TestAnalyticDeltaZero:
     def test_requires_relu(self):
         with pytest.raises(ValueError):
             analytic_delta_zero(2, IDENTITY)
-
-    def test_off_origin_cases(self):
-        assert analytic_delta_zero_z(2, 5.0, 0.0) == 0.0          # vanishing tail
-        assert analytic_delta_zero_z(2, -1.0, 1.0) == 0.0         # certain event
-        assert analytic_delta_zero_z(2, 1.0, 0.3) == pytest.approx(-(3 / 32) * 0.3)
-        assert analytic_delta_zero_z(2, 0.0, 0.123) == pytest.approx(3 / 64)
-        assert analytic_delta_zero_z(2, -1.0, 0.6) >= 0.0
-        assert analytic_delta_zero_z(2, 1.0, 0.6) <= 0.0
 
 
 class TestDiscreteMonteCarlo:
