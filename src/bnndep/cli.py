@@ -191,9 +191,9 @@ def _estimate_doc(e: est.EstimateWithError) -> dict:
 def cmd_sweep(args) -> int:
     doc = resolve_config(args)
     spec = _sweep_spec_from(doc)
+    cells = run_sweep(spec)
     out_dir = Path(doc["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = run_sweep(spec)
     summary = {}
     for (depth, width), cell in sorted(cells.items()):
         stem = f"L{depth}H{width}"

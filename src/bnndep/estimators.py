@@ -73,12 +73,16 @@ class PdProfile:
     min_left: Optional[float]
 
 
-def _sample_count(what: str, *values) -> int:
-    """Length of the first array, after checking it is >= 2 and every value is finite."""
-    n = values[0].shape[0]
+def _sample_count(what: str, *samples: np.ndarray, finite: tuple = ()) -> int:
+    """Common length n of the 1-D sample arrays, after checking n >= 2 and that the
+    samples and the ``finite`` values (thresholds, other columns) are all finite."""
+    shape = np.shape(samples[0])
+    if len(shape) != 1 or any(np.shape(s) != shape for s in samples):
+        raise ValueError(f"{what} needs 1-D samples of equal length")
+    n = shape[0]
     if n < 2:
         raise ValueError(f"{what} needs n >= 2")
-    if not _finite(*values):
+    if not _finite(*samples, *finite):
         raise ValueError(f"{what} needs finite values")
     return n
 
@@ -113,7 +117,7 @@ def _delta_from_counts(c11, c1, c2, n: int):
 
 
 def _delta_xy(u: np.ndarray, v: np.ndarray, z1: float, z2: float, tail: str) -> EstimateWithError:
-    n = _sample_count("exceedance-difference estimation", u, v, z1, z2)
+    n = _sample_count("exceedance-difference estimation", u, v, finite=(z1, z2))
     if tail == UPPER:
         m1, m2 = u >= z1, v >= z2
     elif tail == LOWER:
@@ -157,7 +161,7 @@ def delta_grid(
     if np.any(np.diff(z1) <= 0) or np.any(np.diff(z2) <= 0):
         raise ValueError("threshold grids must be strictly increasing")
     u, v = batch.u, batch.v
-    n = _sample_count("exceedance-difference estimation", u, v, z1, z2)
+    n = _sample_count("exceedance-difference estimation", u, v, finite=(z1, z2))
     if tail not in (UPPER, LOWER):
         raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
 
@@ -211,7 +215,7 @@ def bootstrap_std_error(
 ) -> float:
     """Seeded nonparametric bootstrap SE, for validating the closed forms."""
     rng = np.random.default_rng(seed)
-    n = u.shape[0]
+    n = _sample_count("bootstrap", u, v)
     vals = np.empty(resamples)
     for b in range(resamples):
         idx = rng.integers(0, n, n)
@@ -276,7 +280,8 @@ def _tie_pair_count(*sorted_keys: np.ndarray) -> int:
 
 def _mid_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing their mean; scipy.stats.rankdata(x, "average") bit for bit."""
-    order = np.argsort(x, kind="stable")
+    # every member of a run gets the run's rank, so the order within a run is free
+    order = np.argsort(x)
     edges = _run_edges(x[order])
     ranks = np.empty(x.shape[0])
     ranks[order] = np.repeat(0.5 * (edges[:-1] + edges[1:] + 1), np.diff(edges))
@@ -369,7 +374,7 @@ def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWit
         raise ValueError("batch was sampled without previous-layer norms")
     if batch.layer < 2:
         raise ValueError("conditioning on the previous layer needs layer >= 2")
-    n = _sample_count("covariance estimation", batch.prev_norms)
+    n = _sample_count("covariance estimation", batch.prev_norms, batch.u, batch.v)
     a = conditional_exceedance(batch.prior, z1, batch.prev_norms)
     b = conditional_exceedance(batch.prior, z2, batch.prev_norms)
     return _cov_with_se(a, b, n)
@@ -390,9 +395,9 @@ def pd_profile(layer_samples: np.ndarray, z_values: Sequence[float]) -> PdProfil
     samples = np.asarray(layer_samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] < 2:
         raise ValueError("need an (n, N) matrix with N >= 2 units")
-    _sample_count("positive-dependence estimation", samples)
-    z = np.asarray(z_values, dtype=np.float64)
     lead, last = samples[:, :-1], samples[:, -1]
+    _sample_count("positive-dependence estimation", last, finite=(lead,))
+    z = np.asarray(z_values, dtype=np.float64)
     all_up = np.all(lead >= 0.0, axis=1)
     all_down = np.all(lead <= 0.0, axis=1)
 

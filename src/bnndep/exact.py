@@ -14,12 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .estimators import LOWER, UPPER
+from .estimators import LOWER, UPPER, _sample_count
 from .network import RELU, Activation, PriorSpec, _finite
 from .sampling import STREAM_DISCRETE, SampleBatch, _as_seed, _check_query, _run_blocks
 
 MAX_CONFIGURATIONS = 1 << 24
 _CHUNK = 1 << 16
+_TAU_ROWS = 256     # brute-force tau rows compared with every column at once
 
 
 @dataclass(frozen=True)
@@ -183,17 +184,21 @@ def analytic_delta_zero(prev_width: int, activation: Activation = RELU) -> Fract
 def brute_force_tau(u: np.ndarray, v: np.ndarray) -> float:
     """tau-a by direct pair enumeration; reference for the fast path.
 
-    Computes the same integer numerator and denominator as the merge-based
-    estimator, so results agree bitwise.
+    Every ordered pair (i, j) with u_i < u_j is compared: a concordant pair
+    has v_i < v_j, a discordant one v_i > v_j, and a pair tied in u or v is
+    counted in neither.  Blocks of rows are compared with all columns at
+    once.  The numerator and denominator are the merge-based estimator's
+    integers, so results agree bitwise.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    n = u.shape[0]
-    if n < 2:
-        raise ValueError("concordance estimation needs n >= 2")
+    n = _sample_count("concordance estimation", u, v)
     if n > 10_000:
         raise ValueError("brute force capped at n = 10000")
-    # each row's sign products are integers below 2**53, so the float dot product is exact
-    numerator = sum(int(np.sign(u[i + 1 :] - u[i]) @ np.sign(v[i + 1 :] - v[i]))
-                    for i in range(n - 1))
+    numerator = 0
+    for start in range(0, n, _TAU_ROWS):
+        ui, vi = u[start : start + _TAU_ROWS, None], v[start : start + _TAU_ROWS, None]
+        above = u > ui
+        numerator += int(np.count_nonzero(above & (v > vi)))
+        numerator -= int(np.count_nonzero(above & (v < vi)))
     return numerator / (n * (n - 1) // 2)

@@ -362,13 +362,24 @@ class TestSweepCommand:
                 "--grid-steps", "3", "--color-limit", limit, "--out", str(out)]
         assert main(args) == 1
         assert "color_limit" in capsys.readouterr().err
-        assert not out.exists()  # the output directory is made just before sampling
+        assert not out.exists()  # the output directory is made only after the sweep ran
 
     @pytest.mark.parametrize("flag", ["--depths", "--widths"])
     def test_empty_depth_or_width_list_rejected(self, tmp_path, capsys, flag):
         out = tmp_path / "o"
         assert main(["sweep", flag, ",", "--n", "400", "--out", str(out)]) == 1
         assert "at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid-steps", "1", "at least 2 steps"), ("--n", "1", "n >= 2")])
+    def test_bad_grid_or_sample_size_leaves_no_directory(self, tmp_path, capsys, flag, value,
+                                                         message):
+        out = tmp_path / "o"
+        args = ["sweep", "--depths", "2", "--widths", "2", "--n", "400", "--input-dim", "10",
+                "--grid-steps", "3", flag, value, "--out", str(out)]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_formats_subset(self, tmp_path, capsys):

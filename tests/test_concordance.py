@@ -51,14 +51,25 @@ class TestKendallHandValues:
             kendall_tau(make_batch([1], [1]))
 
 
-    @pytest.mark.parametrize("estimator", [kendall_tau_arrays, spearman_rho_arrays])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("estimator", [kendall_tau_arrays, spearman_rho_arrays,
+                                           brute_force_tau])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, estimator, bad):
         u, v = np.array([0.0, 1.0, 2.0]), np.array([0.0, bad, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             estimator(u, v)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             estimator(v, u)
+
+    @pytest.mark.parametrize("estimator", [kendall_tau_arrays, spearman_rho_arrays,
+                                           brute_force_tau])
+    @pytest.mark.parametrize("u, v", [([0.0, 1.0, 2.0, 3.0], [5.0]),
+                                      ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 0.0], [3.0, 2.0]])],
+                             ids=["unequal_lengths", "two_d"])
+    def test_unequal_or_non_1d_samples_rejected(self, estimator, u, v):
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(ValueError, match="1-D samples of equal length"):
+                estimator(np.asarray(a), np.asarray(b))
 
 
 class TestSpearmanHandValues:
@@ -109,7 +120,10 @@ def reference_spearman(u, v):
 
 class TestMidRanks:
     def test_equal_scipy_rankdata_bitwise(self):
-        for batch in tied_batches():
+        # the 1e5 batch's quarter of exact zeros is one long run for the unstable sort
+        zeros = np.random.default_rng(13).standard_normal(100_000)
+        zeros[::4] = 0.0
+        for batch in [*tied_batches(), (zeros,)]:
             for x in batch:
                 assert _mid_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
 
@@ -161,6 +175,30 @@ class TestAlgorithmEquivalence:
         big = np.arange(10_001, dtype=float)
         with pytest.raises(ValueError):
             brute_force_tau(big, big)
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 513])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_brute_force_equals_pair_loop(self, n, tied):
+        # sizes on both sides of the oracle's 256-row blocks
+        rng = np.random.default_rng(n)
+        if tied:
+            u, v = rng.integers(0, max(2, n // 8), (2, n)).astype(float)
+        else:
+            u, v = rng.standard_normal((2, n))
+        ul, vl = u.tolist(), v.tolist()
+
+        def sign(a, b):
+            return (a < b) - (a > b)
+
+        numerator = sum(sign(ul[i], ul[j]) * sign(vl[i], vl[j])
+                        for i in range(n) for j in range(i + 1, n))
+        assert brute_force_tau(u, v) == numerator / (n * (n - 1) // 2)
+
+    def test_brute_force_at_its_cap(self):
+        rng = np.random.default_rng(19)
+        u = rng.integers(0, 300, 10_000).astype(float)
+        v = u + rng.standard_normal(10_000)
+        assert kendall_tau_arrays(u, v).value == brute_force_tau(u, v)
 
     def test_large_batch_spot_check(self):
         rng = np.random.default_rng(17)

@@ -14,8 +14,10 @@ from bnndep.estimators import (
     delta_grid,
     delta_lower,
     delta_upper,
+    kendall_tau,
     pd_profile,
     rao_blackwell_delta,
+    spearman_rho,
 )
 from bnndep.network import PriorSpec, uniform_config
 from bnndep.sampling import (
@@ -38,6 +40,36 @@ def make_batch(u, v, layer=2, prev_norms=None):
 
 FOUR_CORNERS = make_batch([1, 1, -1, -1], [1, -1, 1, -1])
 COMONOTONE = make_batch([1, -1], [1, -1])
+
+
+class TestSampleShapes:
+    ESTIMATORS = {
+        "delta_upper": lambda b: delta_upper(b, 0.5, 0.5),
+        "delta_lower": lambda b: delta_lower(b, 0.5, 0.5),
+        "delta_grid": lambda b: delta_grid(b, [0.0, 0.5], [0.0, 0.5]),
+        "covariance": covariance,
+        "kendall_tau": kendall_tau,
+        "spearman_rho": spearman_rho,
+        "rao_blackwell_delta": lambda b: rao_blackwell_delta(b, 0.5, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    @pytest.mark.parametrize("u, v", [([0, 1, 2, 3], [5]), ([5], [0, 1, 2, 3]),
+                                      ([[0, 1], [2, 3]], [[0, 1], [2, 3]])],
+                             ids=["short_v", "short_u", "two_d"])
+    def test_unequal_or_non_1d_samples_rejected(self, name, u, v):
+        batch = make_batch(u, v, prev_norms=np.ones(np.shape(u)))
+        with pytest.raises(ValueError, match="1-D samples of equal length"):
+            self.ESTIMATORS[name](batch)
+
+    def test_bootstrap_rejects_unequal_samples(self):
+        with pytest.raises(ValueError, match="1-D samples of equal length"):
+            bootstrap_std_error(lambda a, b: float(a @ b), np.arange(4.0), np.arange(10.0))
+
+    def test_norms_of_another_length_rejected(self):
+        batch = make_batch([0, 1, 2, 3], [1, 0, 3, 2], prev_norms=np.ones(3))
+        with pytest.raises(ValueError, match="1-D samples of equal length"):
+            rao_blackwell_delta(batch, 0.5, 0.5)
 
 
 class TestDeltaHandValues:
