@@ -73,11 +73,12 @@ class PdProfile:
     min_left: Optional[float]
 
 
-def _sample_count(what: str, *samples: np.ndarray, finite: tuple = ()) -> int:
+def _sample_count(what: str, *samples: np.ndarray, finite: tuple = (), aligned: tuple = ()) -> int:
     """Common length n of the 1-D sample arrays, after checking n >= 2 and that the
-    samples and the ``finite`` values (thresholds, other columns) are all finite."""
+    samples and the ``finite`` values (thresholds, other columns) are all finite.
+    ``aligned`` arrays must have the samples' shape; their values are not read."""
     shape = np.shape(samples[0])
-    if len(shape) != 1 or any(np.shape(s) != shape for s in samples):
+    if len(shape) != 1 or any(np.shape(s) != shape for s in (*samples, *aligned)):
         raise ValueError(f"{what} needs 1-D samples of equal length")
     n = shape[0]
     if n < 2:
@@ -374,7 +375,7 @@ def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWit
         raise ValueError("batch was sampled without previous-layer norms")
     if batch.layer < 2:
         raise ValueError("conditioning on the previous layer needs layer >= 2")
-    n = _sample_count("covariance estimation", batch.prev_norms, batch.u, batch.v)
+    n = _sample_count("covariance estimation", batch.prev_norms, aligned=(batch.u, batch.v))
     a = conditional_exceedance(batch.prior, z1, batch.prev_norms)
     b = conditional_exceedance(batch.prior, z2, batch.prev_norms)
     return _cov_with_se(a, b, n)
