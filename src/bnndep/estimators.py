@@ -10,6 +10,7 @@ the choice is semantically load-bearing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -73,12 +74,11 @@ class PdProfile:
     min_left: Optional[float]
 
 
-def _sample_count(what: str, *samples: np.ndarray, finite: tuple = (), aligned: tuple = ()) -> int:
+def _sample_count(what: str, *samples: np.ndarray, finite: tuple = ()) -> int:
     """Common length n of the 1-D sample arrays, after checking n >= 2 and that the
-    samples and the ``finite`` values (thresholds, other columns) are all finite.
-    ``aligned`` arrays must have the samples' shape; their values are not read."""
+    samples and the ``finite`` values (thresholds, other columns) are all finite."""
     shape = np.shape(samples[0])
-    if len(shape) != 1 or any(np.shape(s) != shape for s in (*samples, *aligned)):
+    if len(shape) != 1 or any(np.shape(s) != shape for s in samples):
         raise ValueError(f"{what} needs 1-D samples of equal length")
     n = shape[0]
     if n < 2:
@@ -191,13 +191,14 @@ def delta_grid(
 # ---------------------------------------------------------------------------
 
 def _cov_with_se(x: np.ndarray, y: np.ndarray, n: int) -> EstimateWithError:
-    """Covariance of n checked pairs (see :func:`_sample_count`)."""
-    xc = x - x.mean()
-    yc = y - y.mean()
-    prod = xc * yc
+    """Covariance of n checked pairs (see :func:`_sample_count`); x and y are not written."""
+    prod = x - x.mean()
+    prod *= y - y.mean()
     value = prod.sum() / (n - 1)
-    psi = prod - prod.mean()
-    se = psi.std(ddof=1) / np.sqrt(n)
+    prod -= prod.mean()                 # the influence values psi
+    prod -= prod.mean()                 # psi.std(ddof=1), in ndarray.std's operation order
+    prod *= prod
+    se = np.sqrt(prod.sum() / (n - 1)) / np.sqrt(n)
     return EstimateWithError(float(value), float(se), n)
 
 
@@ -229,53 +230,43 @@ def bootstrap_std_error(
 # ---------------------------------------------------------------------------
 
 def _strict_inversions(a: np.ndarray) -> int:
-    """Number of pairs i < j with a[i] > a[j], by level-vectorized merging.
+    """Number of pairs i < j with a[i] > a[j], for integer ranks 0 <= a < n.
 
-    Bottom-up merge sort where every level merges all block pairs at once
-    through one stable argsort; stability makes equal values count as
-    non-inversions.  Padding with +inf never creates inversions because
-    padded left elements are excluded by the <= count and padded right
-    elements are masked out.
+    Bottom-up merge sort: each level tags every value with its half in the
+    low bit (0 left, 1 right), so one sort along the rows merges all block
+    pairs at once, equal values left first.  In a block of two halves of w,
+    right element j (from 0) at merged position p has w - (p - j) left
+    elements behind it: summed, nb w (3w - 1) / 2 less the p, which are the
+    tagged flat positions less the nb (nb - 1) w^2 of the block starts.
+    Padding with n, above every rank, adds no inversions.
     """
     n = a.shape[0]
-    if n < 2:
-        return 0
     size = 1 << (n - 1).bit_length()
-    arr = np.full(size, np.inf)
+    arr = np.full(size, n, dtype=a.dtype)
     arr[:n] = a
+    flat_pos = np.arange(size)
     total = 0
     width = 1
     while width < size:
-        two_w = 2 * width
-        blocks = arr.reshape(-1, two_w)
-        perm = np.argsort(blocks, axis=1, kind="stable")
-        pos = np.empty_like(perm)
-        np.put_along_axis(pos, perm, np.broadcast_to(np.arange(two_w), perm.shape), axis=1)
-        right_pos = pos[:, width:]
-        k = np.arange(width)
-        left_le = right_pos - k                       # real left elements <= y
-        starts = np.arange(blocks.shape[0]) * two_w
-        real_left = np.clip(n - starts, 0, width)[:, None]
-        contrib = real_left - left_le
-        real_right = (starts[:, None] + width + k) < n
-        total += int(contrib[real_right].sum())
-        arr = np.take_along_axis(blocks, perm, axis=1).reshape(-1)
-        width = two_w
+        blocks = arr.reshape(-1, 2 * width)
+        blocks <<= 1
+        blocks[:, width:] |= 1
+        blocks.sort(axis=1)
+        nb = blocks.shape[0]
+        right_p = np.dot(arr & 1, flat_pos)
+        total += nb * width * (3 * width - 1) // 2 + width * width * nb * (nb - 1) - int(right_p)
+        arr >>= 1
+        width *= 2
     return total
 
 
-def _run_edges(*sorted_keys: np.ndarray) -> np.ndarray:
-    """0, the start of every later run of equal key tuples, then n; rows sorted by the keys."""
-    first = sorted_keys[0]
-    differs = first[1:] != first[:-1]
-    for key in sorted_keys[1:]:
-        differs |= key[1:] != key[:-1]
-    return np.concatenate(([0], np.flatnonzero(differs) + 1, [first.shape[0]]))
+def _run_edges(xs: np.ndarray) -> np.ndarray:
+    """0, the start of every later run of equal values, then n; xs sorted."""
+    return np.concatenate(([0], np.flatnonzero(xs[1:] != xs[:-1]) + 1, [xs.shape[0]]))
 
 
-def _tie_pair_count(*sorted_keys: np.ndarray) -> int:
-    """Sum over runs of equal key tuples of C(run, 2); rows sorted by the keys."""
-    runs = np.diff(_run_edges(*sorted_keys))
+def _tie_pair_count(runs: np.ndarray) -> int:
+    """Sum of C(run, 2) over the run lengths: the number of tied pairs."""
     return int((runs * (runs - 1) // 2).sum())
 
 
@@ -289,24 +280,38 @@ def _mid_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """0-based int64 ranks, ties sharing one, and the number of pairs tied in x."""
+    order = np.argsort(x)
+    runs = np.diff(_run_edges(x[order]))
+    ranks = np.empty(x.shape[0], dtype=np.int64)
+    ranks[order] = np.repeat(np.arange(runs.shape[0]), runs)
+    return ranks, _tie_pair_count(runs)
+
+
 def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     """tau-a: (concordant - discordant) / C(n, 2), ties counted as neither.
 
-    O(n log n): after sorting by (u, v), discordant pairs are exactly the
-    strict inversions of the v sequence; tie bookkeeping recovers the
-    concordant count.  The SE is the classical variance of tau under the
-    independence null.
+    O(n log n): each unit is sorted once into dense integer ranks, and one
+    sort of the int64 key ``rank_u * n + rank_v`` orders the pairs by (u, v)
+    (pairs with equal keys are tied in both units).  Discordant pairs are
+    then exactly the strict inversions of the v ranks in that order; tie
+    bookkeeping recovers the concordant count.  The SE is the classical
+    variance of tau under the independence null.
     """
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if u.size > 3_037_000_499:          # isqrt(2**63 - 1): keys up to n * n - 1 fit int64
+        raise ValueError("concordance estimation needs n <= 3037000499")
     n = _sample_count("concordance estimation", u, v)
-    order = np.lexsort((v, u))
-    us, vs = u[order], v[order]
-    discordant = _strict_inversions(vs)
+    ru, tied_u = _dense_ranks(u)
+    rv, tied_v = _dense_ranks(v)
+    key = np.sort(ru * n + rv)
+    del ru, rv
+    tied_both = _tie_pair_count(np.diff(_run_edges(key)))
+    key %= n                            # v's ranks, in (u, v) order
+    discordant = _strict_inversions(key)
     n0 = n * (n - 1) // 2
-    tied_u = _tie_pair_count(us)
-    tied_v = _tie_pair_count(np.sort(v))
-    tied_both = _tie_pair_count(us, vs)
-    numerator = n0 - tied_u - tied_v + tied_both - 2 * discordant
-    tau = numerator / n0
+    tau = (n0 - tied_u - tied_v + tied_both - 2 * discordant) / n0
     se = np.sqrt(2.0 * (2 * n + 5) / (9.0 * n * (n - 1)))
     return EstimateWithError(tau, float(se), n)
 
@@ -317,6 +322,7 @@ def kendall_tau(batch: SampleBatch) -> EstimateWithError:
 
 def spearman_rho_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     """Pearson correlation of mid-ranks; SE under the independence null."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
     n = _sample_count("concordance estimation", u, v)
     ra, rb = _mid_ranks(u), _mid_ranks(v)
     ac = ra - ra.mean()
@@ -337,6 +343,19 @@ def spearman_rho(batch: SampleBatch) -> EstimateWithError:
 # Conditional exceedance and its Rao-Blackwellized estimator
 # ---------------------------------------------------------------------------
 
+def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
+    """Survival of the prior's family at z / y, for checked norms y; 1 or 0 where y = 0."""
+    if prior.family not in (GAUSSIAN_IID, GAUSSIAN_EQUICORRELATED, STUDENT_T):
+        raise ValueError(f"no closed-form conditional exceedance for {prior.family!r}")
+    survival = partial(stdtr, prior.nu) if prior.family == STUDENT_T else ndtr
+    if z == 0:
+        return np.where(y > 0, survival(0.0), 1.0)
+    # -z / 0 is -inf above z = 0 and +inf below it: the survivals 0 and 1 of the atom
+    with np.errstate(divide="ignore"):
+        q = np.divide(-z, y, out=np.empty(y.shape))
+    return survival(q, out=q)
+
+
 def conditional_exceedance(prior: PriorSpec, z: float, y) -> Union[float, np.ndarray]:
     """P(w'X >= z | scatter-weighted norm of X equals y).
 
@@ -346,20 +365,9 @@ def conditional_exceedance(prior: PriorSpec, z: float, y) -> Union[float, np.nda
     projection is exactly zero, so the value is 1 when z <= 0 and 0 above.
     """
     y_arr = np.asarray(y, dtype=np.float64)
-    if not _finite(y_arr) or np.any(y_arr < 0):
-        raise ValueError("the conditioning norm must be finite and non-negative")
-    if prior.family in (GAUSSIAN_IID, GAUSSIAN_EQUICORRELATED):
-        def survival(q):
-            return ndtr(-q)
-    elif prior.family == STUDENT_T:
-        def survival(q):
-            return stdtr(prior.nu, -q)
-    else:
-        raise ValueError(f"no closed-form conditional exceedance for {prior.family!r}")
-    positive = y_arr > 0
-    quotient = np.where(positive, z / np.where(positive, y_arr, 1.0), 0.0)
-    at_zero = 1.0 if z <= 0 else 0.0
-    out = np.where(positive, survival(quotient), at_zero)
+    if not _finite(y_arr, z) or np.any(y_arr < 0):
+        raise ValueError("the threshold and the conditioning norm must be finite, the norm >= 0")
+    out = _norm_survival(prior, z, y_arr)
     return float(out) if np.ndim(y) == 0 else out
 
 
@@ -375,10 +383,11 @@ def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWit
         raise ValueError("batch was sampled without previous-layer norms")
     if batch.layer < 2:
         raise ValueError("conditioning on the previous layer needs layer >= 2")
-    n = _sample_count("covariance estimation", batch.prev_norms, aligned=(batch.u, batch.v))
-    a = conditional_exceedance(batch.prior, z1, batch.prev_norms)
-    b = conditional_exceedance(batch.prior, z2, batch.prev_norms)
-    return _cov_with_se(a, b, n)
+    y = batch.prev_norms
+    n = _sample_count("covariance estimation", y, finite=(z1, z2))
+    if np.any(y < 0):
+        raise ValueError("the conditioning norm must be non-negative")
+    return _cov_with_se(_norm_survival(batch.prior, z1, y), _norm_survival(batch.prior, z2, y), n)
 
 
 # ---------------------------------------------------------------------------

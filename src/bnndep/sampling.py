@@ -70,7 +70,7 @@ def _as_seed(seed) -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleBatch:
     """Paired draws of two designated units of one layer.
 
@@ -85,6 +85,11 @@ class SampleBatch:
     tap: str                      # "pre" | "post"
     prior: PriorSpec
     prev_norms: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        shapes = {np.shape(a) for a in (self.u, self.v, self.prev_norms) if a is not None}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("a sample batch needs 1-D samples of equal length")
 
     @property
     def n(self) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import bnndep
+from bnndep import estimators
 from bnndep.estimators import (
     _mid_ranks,
     kendall_tau,
@@ -147,6 +148,18 @@ class TestMidRanks:
         assert out.strip() == "[]"
 
 
+def pair_loop_tau(u, v):
+    """tau-a by a pure-Python loop over pairs i < j."""
+    ul, vl, n = np.asarray(u).tolist(), np.asarray(v).tolist(), len(u)
+
+    def sign(a, b):
+        return (a < b) - (a > b)
+
+    numerator = sum(sign(ul[i], ul[j]) * sign(vl[i], vl[j])
+                    for i in range(n) for j in range(i + 1, n))
+    return numerator / (n * (n - 1) // 2)
+
+
 @st.composite
 def paired_data(draw, max_size=200, exact_halving=False):
     n = draw(st.integers(2, max_size))
@@ -185,14 +198,35 @@ class TestAlgorithmEquivalence:
             u, v = rng.integers(0, max(2, n // 8), (2, n)).astype(float)
         else:
             u, v = rng.standard_normal((2, n))
-        ul, vl = u.tolist(), v.tolist()
+        assert brute_force_tau(u, v) == pair_loop_tau(u, v)
 
-        def sign(a, b):
-            return (a < b) - (a > b)
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 1025])
+    @pytest.mark.parametrize("data", ["tied_integers", "half_zero_relu"])
+    def test_merge_count_equals_pair_loop(self, n, data):
+        # sizes on both sides of the merge's power-of-two padding
+        rng = np.random.default_rng(n)
+        if data == "tied_integers":
+            u, v = rng.integers(0, max(2, n // 8), (2, n)).astype(float)
+        else:
+            x = rng.standard_normal((2, n))
+            u, v = np.maximum(x, 0.0)
+        tau = kendall_tau_arrays(u, v).value
+        assert tau == brute_force_tau(u, v) == pair_loop_tau(u, v)
 
-        numerator = sum(sign(ul[i], ul[j]) * sign(vl[i], vl[j])
-                        for i in range(n) for j in range(i + 1, n))
-        assert brute_force_tau(u, v) == numerator / (n * (n - 1) // 2)
+    def test_lists_accepted(self):
+        u, v = [1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]
+        assert kendall_tau_arrays(u, v).value == brute_force_tau(u, v) == 2 / 3
+        assert spearman_rho_arrays(u, v).value == 0.8   # 1 - 6 * 2 / (4 * 15)
+
+    def test_pair_key_bound(self, monkeypatch):
+        # the key rank_u * n + rank_v reaches n * n - 1; past the bound it would wrap in int64
+        bound = 3_037_000_499
+        assert bound * bound - 1 <= np.iinfo(np.int64).max < (bound + 1) ** 2 - 1
+        huge = np.broadcast_to(0.0, (bound + 1,))   # one stored value
+        # the guard must come before the sample check, which would read every value
+        monkeypatch.setattr(estimators, "_sample_count", lambda *a, **k: pytest.fail("read"))
+        with pytest.raises(ValueError, match="n <= 3037000499"):
+            kendall_tau_arrays(huge, huge)
 
     def test_brute_force_at_its_cap(self):
         rng = np.random.default_rng(19)

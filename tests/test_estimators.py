@@ -1,8 +1,11 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
+from scipy.special import erfc, ndtr, stdtr
 from scipy.stats import t as student_t
 
 from bnndep.estimators import (
@@ -27,8 +30,10 @@ from bnndep.sampling import (
     SampleBatch,
     SeedSpec,
     generate_input,
+    sample_replicas,
     sample_units,
 )
+from bnndep.exact import sample_discrete_net, toy_relu_net
 
 
 def make_batch(u, v, layer=2, prev_norms=None):
@@ -58,18 +63,41 @@ class TestSampleShapes:
                                       ([[0, 1], [2, 3]], [[0, 1], [2, 3]])],
                              ids=["short_v", "short_u", "two_d"])
     def test_unequal_or_non_1d_samples_rejected(self, name, u, v):
-        batch = make_batch(u, v, prev_norms=np.ones(np.shape(u)))
+        # the batch itself refuses these shapes, before any estimator runs
         with pytest.raises(ValueError, match="1-D samples of equal length"):
-            self.ESTIMATORS[name](batch)
+            self.ESTIMATORS[name](make_batch(u, v, prev_norms=np.ones(np.shape(u))))
 
     def test_bootstrap_rejects_unequal_samples(self):
         with pytest.raises(ValueError, match="1-D samples of equal length"):
             bootstrap_std_error(lambda a, b: float(a @ b), np.arange(4.0), np.arange(10.0))
 
     def test_norms_of_another_length_rejected(self):
-        batch = make_batch([0, 1, 2, 3], [1, 0, 3, 2], prev_norms=np.ones(3))
         with pytest.raises(ValueError, match="1-D samples of equal length"):
-            rao_blackwell_delta(batch, 0.5, 0.5)
+            make_batch([0, 1, 2, 3], [1, 0, 3, 2], prev_norms=np.ones(3))
+        with pytest.raises(ValueError, match="1-D samples of equal length"):
+            make_batch([0, 1, 2, 3], [1, 0, 3, 2], prev_norms=np.ones((4, 1)))
+        # nor can the norms be swapped for others after the check
+        batch = make_batch([0, 1, 2, 3], [1, 0, 3, 2], prev_norms=np.ones(4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batch.prev_norms = np.ones(3)
+
+    def test_batch_reads_no_values(self):
+        # NaNs pass construction: values are the estimators' to check
+        nan = np.broadcast_to(np.nan, (4,))
+        assert SampleBatch(nan, nan, 2, "pre", PriorSpec(), nan).n == 4
+        assert SampleBatch([0.0, 1.0], [1.0, 0.0], 2, "pre", PriorSpec()).prev_norms is None
+
+    def test_every_constructor_builds_a_valid_batch(self):
+        x = generate_input(10, SeedSpec(5))
+        cfg = uniform_config(10, 3, 3)
+        for norms in (False, True):
+            batch = sample_units(cfg, x, 2, (0, 1), "post", 100, SeedSpec(5), want_norms=norms)
+            assert batch.u.shape == batch.v.shape == (100,)
+            assert norms == (batch.prev_norms is not None)
+        reps = sample_replicas(cfg, x, 3, (0, 2), "pre", 100, SeedSpec(6))
+        for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
+            assert reps.combined(mode).n == 100
+        assert sample_discrete_net(toy_relu_net(), 2, (0, 1), "post", 50, SeedSpec(7)).n == 50
 
 
 class TestDeltaHandValues:
@@ -319,6 +347,86 @@ class TestRaoBlackwell:
         ind = delta_upper(batch, 0.0, 0.0)
         assert abs(rb.value - ind.value) <= 4 * np.hypot(rb.std_error, ind.std_error)
         assert rb.std_error < ind.std_error
+
+
+PRIORS = [PriorSpec(), PriorSpec(family="equicorrelated", rho=0.3),
+          PriorSpec(family="student_t", nu=3.5)]
+ATOM_THRESHOLDS = [-1.0, -0.0, 0.0, 0.5]
+
+
+def reference_exceedance(prior, z, y):
+    """The masked form: survival at z / y where y > 0, the atom's indicator where y = 0."""
+    def survival(q):
+        return stdtr(prior.nu, -q) if prior.family == "student_t" else ndtr(-q)
+
+    positive = y > 0
+    quotient = np.where(positive, z / np.where(positive, y, 1.0), 0.0)
+    return np.where(positive, survival(quotient), 1.0 if z <= 0 else 0.0)
+
+
+def reference_covariance(x, y):
+    """Covariance and influence-function SE with fresh arrays at every step."""
+    n = x.shape[0]
+    prod = (x - x.mean()) * (y - y.mean())
+    psi = prod - prod.mean()
+    return float(prod.sum() / (n - 1)), float(psi.std(ddof=1) / np.sqrt(n))
+
+
+def norms_with_dead_rows(n=1000, seed=41):
+    y = np.abs(np.random.default_rng(seed).standard_normal(n))
+    y[::5] = 0.0
+    return y
+
+
+class TestKernelBits:
+    def test_student_survival_at_infinity(self):
+        for nu in (2.5, 3.5, 30.0):
+            assert stdtr(nu, np.inf) == 1.0 and stdtr(nu, -np.inf) == 0.0
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
+    @pytest.mark.parametrize("z", ATOM_THRESHOLDS)
+    def test_conditional_exceedance_keeps_the_atom_and_its_bits(self, prior, z):
+        y = norms_with_dead_rows()
+        got = conditional_exceedance(prior, z, y)
+        assert got.tobytes() == reference_exceedance(prior, z, y).tobytes()
+        assert np.all(got[::5] == (1.0 if z <= 0 else 0.0))
+        assert conditional_exceedance(prior, z, 0.0) == (1.0 if z <= 0 else 0.0)
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
+    def test_rao_blackwell_keeps_its_bits_and_the_inputs(self, prior):
+        y = norms_with_dead_rows()
+        u, v = np.random.default_rng(43).standard_normal((2, y.shape[0]))
+        kept = [a.copy() for a in (u, v, y)]
+        batch = SampleBatch(u, v, 2, "pre", prior, y)
+        for z1, z2 in itertools.product(ATOM_THRESHOLDS, repeat=2):
+            e = rao_blackwell_delta(batch, z1, z2)
+            want = reference_covariance(reference_exceedance(prior, z1, y),
+                                        reference_exceedance(prior, z2, y))
+            assert (e.value.hex(), e.std_error.hex()) == tuple(w.hex() for w in want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, y), kept))
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 100_001])
+    def test_covariance_keeps_its_bits_and_the_inputs(self, n):
+        u, v = np.random.default_rng(n).standard_normal((2, n))
+        u[::3] = 0.0
+        kept = u.copy(), v.copy()
+        e = covariance(make_batch(u, v))
+        want = reference_covariance(*kept)
+        assert (e.value.hex(), e.std_error.hex()) == tuple(w.hex() for w in want)
+        assert u.tobytes() == kept[0].tobytes() and v.tobytes() == kept[1].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        batch = make_batch(np.zeros(10), np.zeros(10), prev_norms=np.ones(10))
+        with pytest.raises(ValueError, match="finite"):
+            conditional_exceedance(PriorSpec(), bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            rao_blackwell_delta(batch, 0.5, bad)
+
+    def test_negative_norm_rejected_by_rao_blackwell(self):
+        batch = make_batch(np.zeros(4), np.zeros(4), prev_norms=np.array([1.0, 0.0, -0.5, 2.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            rao_blackwell_delta(batch, 0.5, 0.5)
 
 
 class TestPdProfile:
