@@ -25,7 +25,7 @@ from . import exact
 from .experiments import GridRange, SweepSpec, acceptance_suite, run_sweep, summarize
 from .gridio import _check_color_limit, render_heatmap, write_grid_csv
 from .network import Activation, ConfigError, NetworkConfig, PriorSpec, uniform_config
-from .sampling import SeedSpec, generate_input, sample_layer, sample_replicas, sample_units
+from .sampling import generate_input, sample_layer, sample_replicas, sample_units
 
 DEFAULT_CONFIG = {
     "depths": [2, 3, 4],
@@ -157,26 +157,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _activation_from(doc: dict) -> Activation:
-    return Activation(doc["activation"]["kind"], doc["activation"]["alpha"])
-
-
-def _prior_from(doc: dict) -> PriorSpec:
-    p = doc["prior"]
-    nu = float("nan") if p["nu"] is None else float(p["nu"])
-    return PriorSpec(family=p["family"], scale_mode=p["scale_mode"],
-                     sigma0=p["sigma0"], rho=p["rho"], nu=nu)
-
-
 def _sweep_spec_from(doc: dict) -> SweepSpec:
+    act, prior, grid = doc["activation"], doc["prior"], doc["grid"]
     return SweepSpec(
         depths=tuple(doc["depths"]),
         widths=tuple(doc["widths"]),
         input_dim=doc["input_dim"],
         n=doc["n"],
-        grid=GridRange(doc["grid"]["lo"], doc["grid"]["hi"], doc["grid"]["steps"]),
-        activation=_activation_from(doc),
-        prior=_prior_from(doc),
+        grid=GridRange(grid["lo"], grid["hi"], grid["steps"]),
+        activation=Activation(act["kind"], act["alpha"]),
+        prior=PriorSpec(family=prior["family"], scale_mode=prior["scale_mode"],
+                        sigma0=prior["sigma0"], rho=prior["rho"],
+                        nu=float("nan") if prior["nu"] is None else float(prior["nu"])),
         tap=doc["tap"],
         unit_pair=tuple(doc["units"]),
         master_seed=doc["seed"],
@@ -210,27 +202,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _single_net(args) -> tuple[dict, NetworkConfig, np.ndarray, int, SeedSpec]:
-    """Config document, network, input, tapped layer and seed of a one-network command."""
+def _single_net(args) -> tuple[dict, SweepSpec, tuple[NetworkConfig, np.ndarray, int]]:
+    """Config document, run spec, and the network, input and tapped layer of one net."""
     doc = resolve_config(args)
-    depth, width = doc["depths"][0], doc["widths"][0]
-    config = uniform_config(doc["input_dim"], width, depth,
-                            _activation_from(doc), _prior_from(doc))
-    layer = args.layer if args.layer is not None else depth
-    seed = SeedSpec(doc["seed"])
-    return doc, config, generate_input(doc["input_dim"], seed), layer, seed
+    spec = _sweep_spec_from(doc)
+    depth = spec.depths[0]
+    config = uniform_config(spec.input_dim, spec.widths[0], depth, spec.activation, spec.prior)
+    x = generate_input(spec.input_dim, spec.master_seed)
+    return doc, spec, (config, x, depth if args.layer is None else args.layer)
 
 
 def cmd_delta(args) -> int:
-    doc, config, x, layer, seed = _single_net(args)
-    z = GridRange(doc["grid"]["lo"], doc["grid"]["hi"], doc["grid"]["steps"]).values()
-    pair = tuple(doc["units"])
+    doc, spec, net = _single_net(args)
+    z = spec.grid.values()
+    draw = (*net, spec.unit_pair, spec.tap, spec.n, spec.master_seed)
     if args.combo == "single":
-        batch = sample_units(config, x, layer, pair, doc["tap"], doc["n"], seed,
-                             workers=doc["workers"])
+        batch = sample_units(*draw, workers=spec.workers)
     else:
-        batch = sample_replicas(config, x, layer, pair, doc["tap"], doc["n"], seed,
-                                workers=doc["workers"]).combined(args.combo)
+        batch = sample_replicas(*draw, workers=spec.workers).combined(args.combo)
     grid = est.delta_grid(batch, z, z, tail=args.tail)
     out_dir = Path(doc["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,9 +232,9 @@ def cmd_delta(args) -> int:
 
 
 def cmd_concordance(args) -> int:
-    doc, config, x, layer, seed = _single_net(args)
-    batch = sample_units(config, x, layer, tuple(doc["units"]), doc["tap"],
-                         doc["n"], seed, workers=doc["workers"])
+    _, spec, net = _single_net(args)
+    batch = sample_units(*net, spec.unit_pair, spec.tap, spec.n, spec.master_seed,
+                         workers=spec.workers)
     report = {
         "covariance": _estimate_doc(est.covariance(batch)),
         "kendall_tau": _estimate_doc(est.kendall_tau(batch)),
@@ -256,10 +245,15 @@ def cmd_concordance(args) -> int:
 
 
 def cmd_pd(args) -> int:
-    doc, config, x, layer, seed = _single_net(args)
-    samples = sample_layer(config, x, layer, doc["n"], seed, doc["tap"],
-                           workers=doc["workers"])
-    qlo, qhi = (float(t) for t in args.z_quantiles.split(","))
+    _, spec, net = _single_net(args)
+    try:
+        qlo, qhi = (float(t) for t in args.z_quantiles.split(","))
+    except ValueError:
+        raise UsageError(f"--z-quantiles needs two numbers, got {args.z_quantiles!r}")
+    if not (0.0 <= qlo <= 1.0 and 0.0 <= qhi <= 1.0 and args.z_steps >= 1):
+        raise UsageError(f"--z-quantiles must lie in [0, 1] and --z-steps be >= 1, "
+                         f"got {args.z_quantiles!r} and {args.z_steps}")
+    samples = sample_layer(*net, spec.n, spec.master_seed, spec.tap, workers=spec.workers)
     lo, hi = np.quantile(samples[:, -1], [qlo, qhi])
     profile = est.pd_profile(samples, np.linspace(lo, hi, args.z_steps))
     doc_out = {

@@ -38,10 +38,11 @@ class DeltaGrid:
 
     ``value[a, b]`` estimates the difference between the joint probability
     that the two units exceed (z1_values[a], z2_values[b]) and the product
-    of the marginal exceedance probabilities; ``lower`` tail replaces
-    exceedance with the complementary <= events.  ``null_std_error`` is the
-    SE each cell would have at zero dependence, sqrt(p1(1-p1) p2(1-p2) / n)
-    from its marginals; it is None for a grid read back from CSV.
+    of the marginal exceedance probabilities; a ``lower``-tail grid uses
+    the <= events instead, and no field records which tail a grid holds.
+    ``null_std_error`` is the SE each cell would have at zero dependence,
+    sqrt(p1(1-p1) p2(1-p2) / n) from its marginals; it is None for a grid
+    read back from CSV.
     """
 
     z1_values: np.ndarray
@@ -49,7 +50,6 @@ class DeltaGrid:
     value: np.ndarray       # (len(z1), len(z2))
     std_error: np.ndarray
     n: int
-    tail: str = UPPER
     null_std_error: Optional[np.ndarray] = None
 
     def cell(self, a: int, b: int) -> EstimateWithError:
@@ -119,12 +119,7 @@ def _delta_from_counts(c11, c1, c2, n: int):
 
 def _delta_xy(u: np.ndarray, v: np.ndarray, z1: float, z2: float, tail: str) -> EstimateWithError:
     n = _sample_count("exceedance-difference estimation", u, v, finite=(z1, z2))
-    if tail == UPPER:
-        m1, m2 = u >= z1, v >= z2
-    elif tail == LOWER:
-        m1, m2 = u <= z1, v <= z2
-    else:
-        raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
+    m1, m2 = (u >= z1, v >= z2) if tail == UPPER else (u <= z1, v <= z2)
     c11 = int(np.count_nonzero(m1 & m2))
     c1 = int(np.count_nonzero(m1))
     c2 = int(np.count_nonzero(m2))
@@ -183,7 +178,7 @@ def delta_grid(
     value, se = _delta_from_counts(c11, c1[:, None], c2[None, :], n)
     p1, p2 = c1 / n, c2 / n
     null_se = np.sqrt(np.outer(p1 * (1.0 - p1), p2 * (1.0 - p2)) / n)
-    return DeltaGrid(z1, z2, value, se, n, tail, null_se)
+    return DeltaGrid(z1, z2, value, se, n, null_se)
 
 
 # ---------------------------------------------------------------------------

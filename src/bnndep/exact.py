@@ -40,6 +40,8 @@ class DiscreteNetSpec:
     support_weights: tuple[int, ...] = (1, 1)
 
     def __post_init__(self) -> None:
+        if not all(isinstance(w, (int, np.integer)) and w >= 1 for w in self.widths):
+            raise ValueError(f"widths must be positive integers, got {self.widths}")
         if len(self.input) != self.widths[0]:
             raise ValueError("input length must equal the input width")
         if len(self.support_values) != len(self.support_weights):
@@ -161,7 +163,7 @@ def sample_discrete_net(
 # Closed forms for the ReLU dead-layer case
 # ---------------------------------------------------------------------------
 
-def analytic_delta_zero(prev_width: int, activation: Activation = RELU) -> Fraction:
+def analytic_delta_zero(prev_width: int) -> Fraction:
     """Exact exceedance difference at the origin for depth-2 ReLU nets.
 
     The previous post-activation vector is exactly zero when all of its
@@ -169,8 +171,6 @@ def analytic_delta_zero(prev_width: int, activation: Activation = RELU) -> Fract
     1/2, giving dead-layer mass p = 2**-H and the value p(1 - p)/4.
     Depends only on signs, hence invariant to the weight scale.
     """
-    if activation.kind != "relu":
-        raise ValueError("closed form requires the relu activation")
     if prev_width < 1:
         raise ValueError("previous width must be >= 1")
     p = Fraction(1, 2**prev_width)

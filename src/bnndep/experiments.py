@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import estimators as est
-from . import exact
+from . import exact, gridio
 from .network import IDENTITY, RELU, Activation, PriorSpec, _finite, uniform_config
 from .sampling import (
     DIFF_OF_COPIES,
@@ -444,6 +444,21 @@ def acceptance_suite(
         return _pd_floor(*(sample_layer(config, x, layer, n, seed.child(13, layer),
                                         workers=workers) for layer in (2, 1)))
 
+    def determinism():
+        config, zs = uniform_config(input_dim, 2, 2), np.linspace(-1.0, 1.0, 9)
+        outputs = []
+        for w in (1, 2):
+            batch = sample_units(config, x, 2, (0, 1), "pre", 4000, seed.child(14), workers=w)
+            grid = est.delta_grid(batch, zs, zs)
+            outputs.append({
+                "samples": batch.u.tobytes() + batch.v.tobytes(),
+                "csv": gridio.grid_csv_text(grid),
+                "svg": gridio.heatmap_svg_text(grid),
+                "summary": json.dumps(_py(summarize(grid).__dict__), sort_keys=True),
+            })
+        checks = {key: outputs[0][key] == outputs[1][key] for key in outputs[0]}
+        return all(checks.values()), {"equal": checks}
+
     # (cid, title, check[, status on failure]); a failed check fails unless its row says
     table = (
         (1, "quadrant sign structure over all depth/width grids", sign_structure),
@@ -461,8 +476,7 @@ def acceptance_suite(
         # soft: deeper nets concentrate dependence at the center, or warn
         (12, "peakedness non-decreasing with depth at width 2 (soft)", depth_trend, "warn"),
         (13, "positive-dependence profile bounded away from zero", pd_floor),
-        (14, "outputs are byte-identical across worker counts",
-         lambda: _determinism_criterion(master_seed, input_dim)),
+        (14, "outputs are byte-identical across worker counts", determinism),
     )
     results = []
     for cid, title, check, *on_fail in table:
@@ -471,25 +485,3 @@ def acceptance_suite(
         results.append(CriterionResult(cid, title, status, _py(details)))
     return AcceptanceReport(master_seed, n, results)
 
-
-def _determinism_criterion(master_seed: int, input_dim: int) -> tuple[bool, dict]:
-    """Criterion 14: thread count cannot change a single byte of any output."""
-    from . import gridio
-
-    seed = SeedSpec(master_seed)
-    x = generate_input(input_dim, seed)
-    config = uniform_config(input_dim, 2, 2)
-    z = np.linspace(-1.0, 1.0, 9)
-    outputs = []
-    for workers in (1, 2):
-        batch = sample_units(config, x, 2, (0, 1), "pre", 4000, seed.child(14),
-                             workers=workers)
-        grid = est.delta_grid(batch, z, z)
-        outputs.append({
-            "samples": batch.u.tobytes() + batch.v.tobytes(),
-            "csv": gridio.grid_csv_text(grid),
-            "svg": gridio.heatmap_svg_text(grid),
-            "summary": json.dumps(_py(summarize(grid).__dict__), sort_keys=True),
-        })
-    checks = {key: outputs[0][key] == outputs[1][key] for key in outputs[0]}
-    return all(checks.values()), {"equal": checks}

@@ -181,9 +181,8 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
     """Return ``config`` unchanged iff all structural invariants hold."""
     if config.depth < 1:
         raise ConfigError(f"need at least one hidden layer, got depth {config.depth}")
-    for w in config.widths:
-        if not (isinstance(w, (int, np.integer)) and w >= 1):
-            raise ConfigError(f"widths must be positive integers, got {config.widths}")
+    if not all(isinstance(w, (int, np.integer)) and w >= 1 for w in config.widths):
+        raise ConfigError(f"widths must be positive integers, got {config.widths}")
     if len(config.priors) != config.depth:
         raise ConfigError(
             f"expected {config.depth} priors (one per hidden layer), "

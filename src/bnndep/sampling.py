@@ -27,7 +27,7 @@ from .network import (
     validate_config,
 )
 
-# Stream labels: distinct labels give statistically independent streams.
+# Stream labels, the first key of SeedSpec.stream; distinct labels give independent streams.
 STREAM_INPUT = 0
 STREAM_WEIGHTS = 1
 STREAM_DISCRETE = 2
@@ -58,12 +58,6 @@ class SeedSpec:
     def stream(self, *label: int) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.namespace + tuple(label))
         return np.random.Generator(np.random.Philox(seq))
-
-    def input_stream(self) -> np.random.Generator:
-        return self.stream(STREAM_INPUT)
-
-    def weight_stream(self, replica: int, block: int) -> np.random.Generator:
-        return self.stream(STREAM_WEIGHTS, replica, block)
 
 
 def _as_seed(seed) -> SeedSpec:
@@ -134,7 +128,7 @@ def generate_input(dim: int, seed) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"input dimension must be >= 1, got {dim}")
-    return _as_seed(seed).input_stream().standard_normal(dim)
+    return _as_seed(seed).stream(STREAM_INPUT).standard_normal(dim)
 
 
 def sample_weight_matrix(
@@ -219,7 +213,7 @@ def _sample(
         outs.append(np.empty(n))
 
     def job(k: int, start: int, count: int) -> None:
-        rng = seed.weight_stream(replica, k)
+        rng = seed.stream(STREAM_WEIGHTS, replica, k)
         h = x[None, :]
         for prior, fan_in, units in zip(config.priors[:layer], widths, widths[1:]):
             norm = np.sqrt(prior.scatter_quadratic(h, fan_in))

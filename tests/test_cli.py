@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bnndep import cli
 from bnndep.cli import DEFAULT_CONFIG, main
 from bnndep.estimators import DeltaGrid, delta_grid
 from bnndep.gridio import (
@@ -260,6 +261,11 @@ class TestOracleCommand:
         assert main(["oracle", "enumerate", "--exact"]) == 0
         assert capsys.readouterr().out.strip() == "1/16"
 
+    def test_enumerate_rejects_non_positive_width(self, capsys):
+        assert main(["oracle", "enumerate", "--net-widths", "1,0,2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bnndep: error: widths must be positive integers")
+
 
 class TestConfigHandling:
     def test_print_config_has_all_defaults(self, capsys):
@@ -429,6 +435,58 @@ class TestOtherCommands:
         assert len(doc["z_values"]) == 5
         assert len(doc["right_tail"]) == 5
         assert doc["min_right"] is not None
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--z-quantiles", "abc"], "--z-quantiles"),
+        (["--z-quantiles", "0.5"], "--z-quantiles"),
+        (["--z-quantiles", "0.1,0.5,0.9"], "--z-quantiles"),
+        (["--z-quantiles=-0.1,0.5"], "[0, 1]"),
+        (["--z-quantiles", "0.1,1.5"], "[0, 1]"),
+        (["--z-quantiles", "nan,0.5"], "[0, 1]"),
+        (["--z-steps", "0"], "--z-steps"),
+    ])
+    def test_pd_threshold_flags_checked_before_sampling(self, monkeypatch, capsys, flags,
+                                                        message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("pd sampled before checking its threshold flags")
+
+        monkeypatch.setattr(cli, "sample_layer", no_sampling)
+        assert main(["pd", "--n", "200000", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bnndep: error:") and message in err
+
+
+class TestConfigDocumentRuns:
+    """A --config document and the same settings as flags give the same bytes."""
+
+    DOC = {"depths": [2], "widths": [3], "input_dim": 10, "n": 600, "seed": 4,
+           "grid": {"lo": -0.5, "hi": 0.5, "steps": 5}, "workers": 2, "units": [1, 0],
+           "tap": "post", "prior": {"family": "equicorrelated", "rho": 0.3}}
+    FLAGS = ["--depths", "2", "--widths", "3", "--input-dim", "10", "--n", "600", "--seed", "4",
+             "--grid-lo", "-0.5", "--grid-hi", "0.5", "--grid-steps", "5", "--workers", "2"]
+    DEPENDENT = ["--units", "1,0", "--tap", "post", "--prior-family", "equicorrelated",
+                 "--rho", "0.3"]
+
+    @staticmethod
+    def outputs(tmp_path, capsys, name, argv):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        files = sorted((p.name, p.read_bytes()) for p in out.iterdir()) if out.exists() else []
+        return capsys.readouterr().out, files
+
+    @pytest.mark.parametrize("command", [
+        ["delta"], ["delta", "--combo", "diff", "--tail", "lower"], ["concordance"],
+        ["pd", "--z-steps", "5"],
+    ])
+    def test_document_matches_flags(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.DOC))
+        from_doc = self.outputs(tmp_path, capsys, "doc", [*command, "--config", str(cfg)])
+        from_flags = self.outputs(tmp_path, capsys, "flags",
+                                  [*command, *self.FLAGS, *self.DEPENDENT])
+        assert from_doc == from_flags
+        # the units, tap and prior change the output, so the document's were read
+        assert self.outputs(tmp_path, capsys, "defaults", [*command, *self.FLAGS]) != from_doc
 
 
 class TestSelftestCommand:

@@ -13,7 +13,7 @@ from bnndep.exact import (
     sample_discrete_net,
     toy_relu_net,
 )
-from bnndep.network import IDENTITY, RELU, TANH, NetworkConfig, PriorSpec, forward
+from bnndep.network import RELU, TANH, NetworkConfig, PriorSpec, forward
 from bnndep.sampling import sample_units
 
 
@@ -74,6 +74,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             DiscreteNetSpec(widths=(1, 2), input=(1.0,), support_weights=weights)
 
+    @pytest.mark.parametrize("widths", [(1, 0, 2), (0, 1), (1, -1), (1, 2.0)])
+    def test_non_positive_or_non_integer_widths_rejected(self, widths):
+        with pytest.raises(ValueError, match="widths must be positive integers"):
+            DiscreteNetSpec(widths=widths, input=(1.0,))
+
     @pytest.mark.parametrize("factor", [3, 10**6])
     def test_common_weight_factor_cancels(self, factor):
         base = DiscreteNetSpec(
@@ -116,10 +121,6 @@ class TestAnalyticDeltaZero:
 
     def test_float_boundary(self):
         assert float(analytic_delta_zero(2)) == 0.046875
-
-    def test_requires_relu(self):
-        with pytest.raises(ValueError):
-            analytic_delta_zero(2, IDENTITY)
 
 
 class TestDiscreteMonteCarlo:

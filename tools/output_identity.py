@@ -5,7 +5,9 @@ other side is this checkout's ``src`` as it stands, uncommitted edits
 included.  Each side runs the same command lines in fresh interpreters:
 every subcommand at each seed (sweeps with their CSV/SVG/JSON files, one-grid
 ``delta`` runs, ``concordance``, ``pd``, ``oracle``, ``selftest`` with its
-JSON report, ``print-config``) and every ``--help`` page once.  Each run's
+JSON report, ``print-config``) and every ``--help`` page once.  At each seed
+``delta``, ``concordance`` and ``pd`` also run from a ``--config`` document,
+which the tool writes into the run directory on both sides.  Each run's
 stdout, stderr, exit code and files land in one directory per run, and
 ``diff -r`` compares the two trees.  The exit status is 0 when they match;
 otherwise the scratch directory is kept and its path printed.
@@ -17,6 +19,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -38,14 +41,18 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
-def runs(seeds: list[int], n: int) -> list[tuple[str, list[str]]]:
-    """(run directory, argv) pairs; ``{out}`` in an argv stands for the run directory."""
+def runs(seeds: list[int], n: int) -> list[tuple[str, list[str], dict | None]]:
+    """(run directory, argv, config document or None) triples.
+
+    ``{out}`` in an argv stands for the run directory; a run's config document
+    is written there as ``config.json`` before the command starts.
+    """
     out = []
     for s in seeds:
         c = ["--seed", str(s), "--n", str(n), "--input-dim", "20"]
         small = ["--depths", "2,3", "--widths", "2,5"]
         one = ["--depths", "3", "--widths", "4"]
-        out += [(f"s{s}/{name}", argv) for name, argv in (
+        out += [(f"s{s}/{name}", argv, None) for name, argv in (
             ("sweep", ["sweep", *c, "--out", "{out}"]),
             ("sweep_post", ["sweep", *c, *small, "--tap", "post", "--color-limit", "0.05",
                             "--out", "{out}"]),
@@ -59,6 +66,7 @@ def runs(seeds: list[int], n: int) -> list[tuple[str, list[str]]]:
                                  "--grid-steps", "9", "--out", "{out}"]),
             ("concordance", ["concordance", *c, "--depths", "2", "--widths", "3"]),
             ("concordance_post", ["concordance", *c, *one, "--tap", "post"]),
+            ("concordance_layer", ["concordance", *c, *one, "--layer", "2"]),
             ("pd", ["pd", *c, *one]),
             ("oracle_delta00", ["oracle", "delta00", "--width", str(1 + s % 6), "--exact"]),
             ("oracle_enumerate", ["oracle", "enumerate", "--net-widths", "1,2,2",
@@ -67,16 +75,23 @@ def runs(seeds: list[int], n: int) -> list[tuple[str, list[str]]]:
                           "--report", "{out}/report.json"]),
             ("print_config", ["print-config", *c, "--tap", "post"]),
         )]
-    out.append(("help/bnndep", ["--help"]))
-    out += [(f"help/{sub}", [sub, "--help"]) for sub in SUBCOMMANDS]
+        doc = {"seed": s, "n": n, "input_dim": 20, "depths": [3], "widths": [4],
+               "grid": {"lo": -0.5, "hi": 1.5, "steps": 9}, "units": [1, 0], "tap": "post",
+               "prior": {"family": "equicorrelated", "rho": 0.3}, "workers": 2}
+        out += [(f"s{s}/{sub}_config", [sub, "--config", "{out}/config.json", "--out", "{out}"],
+                 doc) for sub in ("delta", "concordance", "pd")]
+    out.append(("help/bnndep", ["--help"], None))
+    out += [(f"help/{sub}", [sub, "--help"], None) for sub in SUBCOMMANDS]
     return out
 
 
-def run_side(src: Path, dest: Path, plan: list[tuple[str, list[str]]]) -> None:
+def run_side(src: Path, dest: Path, plan: list[tuple[str, list[str], dict | None]]) -> None:
     env = {**os.environ, "PYTHONPATH": str(src)}
-    for name, argv in plan:
+    for name, argv, doc in plan:
         run_dir = dest / name
         run_dir.mkdir(parents=True)
+        if doc is not None:
+            (run_dir / "config.json").write_text(json.dumps(doc, indent=2) + "\n")
         argv = [a.replace("{out}", str(run_dir)) for a in argv]
         proc = subprocess.run([sys.executable, "-m", "bnndep.cli", *argv], env=env,
                               cwd=run_dir, capture_output=True, text=True)
