@@ -47,12 +47,11 @@ from .network import (
     validate_config,
 )
 from .sampling import (
-    ReplicaBatch,
     SampleBatch,
     SeedSpec,
+    combine_copies,
     generate_input,
     sample_layer,
-    sample_replicas,
     sample_units,
     sample_weight_matrix,
 )

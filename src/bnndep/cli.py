@@ -25,25 +25,7 @@ from . import exact
 from .experiments import GridRange, SweepSpec, acceptance_suite, run_sweep, summarize
 from .gridio import _check_color_limit, render_heatmap, write_grid_csv
 from .network import Activation, ConfigError, NetworkConfig, PriorSpec, uniform_config
-from .sampling import generate_input, sample_layer, sample_replicas, sample_units
-
-DEFAULT_CONFIG = {
-    "depths": [2, 3, 4],
-    "widths": [2, 5, 10],
-    "input_dim": 100,
-    "n": 100000,
-    "grid": {"lo": -1.0, "hi": 1.0, "steps": 41},
-    "activation": {"kind": "relu", "alpha": 1.0},
-    "prior": {"family": "gaussian", "scale_mode": "fan_in",
-              "sigma0": 1.0, "rho": 0.0, "nu": None},
-    "tap": "pre",
-    "units": [0, 1],
-    "seed": 42,
-    "workers": 1,
-    "out_dir": "out",
-    "color_limit": None,
-    "formats": ["csv", "svg", "json"],
-}
+from .sampling import combine_copies, generate_input, sample_layer, sample_units
 
 
 class UsageError(ValueError):
@@ -103,49 +85,59 @@ def _csv_words(text: str) -> list[str]:
     return [t for t in text.split(",") if t]
 
 
-# Flags shared by the sampling subcommands: the flag, the dotted config path
-# it overrides, the conversion applied to the parsed value, argparse keywords.
+# Flags shared by the sampling subcommands, one per config leaf: the flag, the
+# leaf's dotted path and default, the conversion of the parsed value, argparse keywords.
 _COMMON_FLAGS = (
-    ("--seed", "seed", None, {"type": int}),
-    ("--n", "n", None, {"type": int}),
-    ("--input-dim", "input_dim", None, {"type": int}),
-    ("--depths", "depths", _csv_ints, {"help": "comma-separated hidden-layer counts"}),
-    ("--widths", "widths", _csv_ints, {"help": "comma-separated hidden widths"}),
-    ("--grid-steps", "grid.steps", None, {"type": int}),
-    ("--grid-lo", "grid.lo", None, {"type": float}),
-    ("--grid-hi", "grid.hi", None, {"type": float}),
-    ("--activation", "activation.kind", None, {"choices": Activation.KINDS}),
-    ("--elu-alpha", "activation.alpha", None, {"type": float}),
-    ("--prior-family", "prior.family", None,
+    ("--seed", "seed", 42, None, {"type": int}),
+    ("--n", "n", 100000, None, {"type": int}),
+    ("--input-dim", "input_dim", 100, None, {"type": int}),
+    ("--depths", "depths", [2, 3, 4], _csv_ints, {"help": "comma-separated hidden-layer counts"}),
+    ("--widths", "widths", [2, 5, 10], _csv_ints, {"help": "comma-separated hidden widths"}),
+    ("--grid-steps", "grid.steps", 41, None, {"type": int}),
+    ("--grid-lo", "grid.lo", -1.0, None, {"type": float}),
+    ("--grid-hi", "grid.hi", 1.0, None, {"type": float}),
+    ("--activation", "activation.kind", "relu", None, {"choices": Activation.KINDS}),
+    ("--elu-alpha", "activation.alpha", 1.0, None, {"type": float}),
+    ("--prior-family", "prior.family", "gaussian", None,
      {"choices": ("gaussian", "equicorrelated", "student_t")}),
-    ("--scale-mode", "prior.scale_mode", None, {"choices": ("fan_in", "fixed")}),
-    ("--sigma0", "prior.sigma0", None, {"type": float}),
-    ("--rho", "prior.rho", None, {"type": float}),
-    ("--nu", "prior.nu", None, {"type": float}),
-    ("--tap", "tap", None, {"choices": ("pre", "post")}),
-    ("--units", "units", _csv_ints, {"help": "comma-separated pair of unit indices"}),
-    ("--workers", "workers", None, {"type": int}),
-    ("--out", "out_dir", None, {"dest": "out_dir"}),
-    ("--color-limit", "color_limit", None, {"type": float}),
-    ("--formats", "formats", _csv_words, {"help": "comma-separated subset of csv,svg,json"}),
+    ("--scale-mode", "prior.scale_mode", "fan_in", None, {"choices": ("fan_in", "fixed")}),
+    ("--sigma0", "prior.sigma0", 1.0, None, {"type": float}),
+    ("--rho", "prior.rho", 0.0, None, {"type": float}),
+    ("--nu", "prior.nu", None, None, {"type": float}),
+    ("--tap", "tap", "pre", None, {"choices": ("pre", "post")}),
+    ("--units", "units", [0, 1], _csv_ints, {"help": "comma-separated pair of unit indices"}),
+    ("--workers", "workers", 1, None, {"type": int}),
+    ("--out", "out_dir", "out", None, {"dest": "out_dir"}),
+    ("--color-limit", "color_limit", None, None, {"type": float}),
+    ("--formats", "formats", ["csv", "svg", "json"], _csv_words,
+     {"help": "comma-separated subset of csv,svg,json"}),
 )
+
+
+def _put(doc: dict, path: str, value) -> None:
+    section, _, key = path.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+
+
+DEFAULT_CONFIG: dict = {}
+for _row in _COMMON_FLAGS:
+    _put(DEFAULT_CONFIG, *_row[1:3])
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config document")
-    for flag, _, _, kwargs in _COMMON_FLAGS:
+    for flag, *_, kwargs in _COMMON_FLAGS:
         p.add_argument(flag, **kwargs)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     doc = (load_config(args.config) if getattr(args, "config", None)
            else copy.deepcopy(DEFAULT_CONFIG))
-    for flag, path, convert, kwargs in _COMMON_FLAGS:
+    for flag, path, _, convert, kwargs in _COMMON_FLAGS:
         # argparse's default dest unless the row names one
         value = getattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), None)
         if value is not None:
-            section, _, key = path.rpartition(".")
-            (doc[section] if section else doc)[key] = convert(value) if convert else value
+            _put(doc, path, convert(value) if convert else value)
     for fmt in doc["formats"]:
         if fmt not in ("csv", "svg", "json"):
             raise UsageError(f"unknown output format {fmt!r}")
@@ -216,10 +208,10 @@ def cmd_delta(args) -> int:
     doc, spec, net = _single_net(args)
     z = spec.grid.values()
     draw = (*net, spec.unit_pair, spec.tap, spec.n, spec.master_seed)
-    if args.combo == "single":
-        batch = sample_units(*draw, workers=spec.workers)
-    else:
-        batch = sample_replicas(*draw, workers=spec.workers).combined(args.combo)
+    batch = sample_units(*draw, workers=spec.workers)
+    if args.combo != "single":
+        second = sample_units(*draw, replica=1, workers=spec.workers)
+        batch = combine_copies(batch, second, args.combo)
     grid = est.delta_grid(batch, z, z, tail=args.tail)
     out_dir = Path(doc["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -340,10 +332,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--input-dim", type=int, dest="input_dim", default=100)
-    p.add_argument("--workers", type=int, default=1)
+    for flag, _, default, _, kwargs in _COMMON_FLAGS:
+        if flag in ("--seed", "--n", "--input-dim", "--workers"):
+            p.add_argument(flag, default=default, **kwargs)
     p.add_argument("--report", help="path for the JSON report")
     p.set_defaults(func=cmd_selftest)
 

@@ -401,8 +401,8 @@ def pd_profile(layer_samples: np.ndarray, z_values: Sequence[float]) -> PdProfil
     if samples.ndim != 2 or samples.shape[1] < 2:
         raise ValueError("need an (n, N) matrix with N >= 2 units")
     lead, last = samples[:, :-1], samples[:, -1]
-    _sample_count("positive-dependence estimation", last, finite=(lead,))
     z = np.asarray(z_values, dtype=np.float64)
+    _sample_count("positive-dependence estimation", last, finite=(lead, z))
     all_up = np.all(lead >= 0.0, axis=1)
     all_down = np.all(lead <= 0.0, axis=1)
 

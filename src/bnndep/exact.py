@@ -44,6 +44,8 @@ class DiscreteNetSpec:
             raise ValueError(f"widths must be positive integers, got {self.widths}")
         if len(self.input) != self.widths[0]:
             raise ValueError("input length must equal the input width")
+        if not _finite(self.input, self.support_values):
+            raise ValueError("input and support values must be finite")
         if len(self.support_values) != len(self.support_weights):
             raise ValueError("support values and weights must align")
         if not all(isinstance(w, (int, np.integer)) and w > 0 for w in self.support_weights):
@@ -114,10 +116,7 @@ def enumerate_exact_delta(
         pre = _last_pre(spec, values[digits], layer)
         weight = np.prod(wts[digits], axis=1)
         u, v = pre[:, j1], pre[:, j2]
-        if tail == UPPER:
-            m1, m2 = u >= z1, v >= z2
-        else:
-            m1, m2 = u <= z1, v <= z2
+        m1, m2 = (u >= z1, v >= z2) if tail == UPPER else (u <= z1, v <= z2)
         c11 += int(weight[m1 & m2].sum())
         c1 += int(weight[m1].sum())
         c2 += int(weight[m2].sum())

@@ -23,9 +23,9 @@ from .sampling import (
     SUM_OF_COPIES,
     SampleBatch,
     SeedSpec,
+    combine_copies,
     generate_input,
     sample_layer,
-    sample_replicas,
     sample_units,
 )
 
@@ -193,12 +193,8 @@ class AcceptanceReport:
 
 def _py(value):
     """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, np.ndarray):
         return [_py(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
@@ -376,12 +372,13 @@ def acceptance_suite(
                          for ai, act in enumerate((RELU, IDENTITY)) for layer in (2, 3)})
 
     def copy_signs():
-        replicas = sample_replicas(uniform_config(input_dim, 2, 2), x, 2, (0, 1), "pre", n,
-                                   seed.child(7), workers=workers)
+        config = uniform_config(input_dim, 2, 2)
+        copies = [sample_units(config, x, 2, (0, 1), "pre", n, seed.child(7), replica=r,
+                               workers=workers) for r in (0, 1)]
         center = int(np.argmin(np.abs(z)))
         parts = {}
         for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
-            g = est.delta_grid(replicas.combined(mode), z, z)
+            g = est.delta_grid(combine_copies(*copies, mode), z, z)
             viol, c = quadrant_sign_violations(g), g.cell(center, center)
             parts[mode] = viol == 0 and c.value >= -4.0 * c.std_error, {
                 "violations": viol, "center": c.value, "center_se": c.std_error}

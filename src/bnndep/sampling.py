@@ -8,7 +8,9 @@ for the Gaussian families and Student-t for ``student_t`` (Cambanis, Huang
 block owns a private counter-based random stream keyed by (master seed,
 stream label, replica, block index), so any number of worker threads can
 fill disjoint blocks and the result is a pure function of (config, input,
-seed, n) -- independent of thread count and scheduling.
+seed, n) -- independent of thread count and scheduling.  Replicas of one
+seed are independent copies of the networks; ``combine_copies`` adds or
+subtracts two of them row by row.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ STREAM_INPUT = 0
 STREAM_WEIGHTS = 1
 STREAM_DISCRETE = 2
 
-# Row-wise combinations of two independent copies (ReplicaBatch.combined).
+# Row-wise combinations of two independent copies (combine_copies).
 SUM_OF_COPIES = "sum"
 DIFF_OF_COPIES = "diff"
 
@@ -90,31 +92,18 @@ class SampleBatch:
         return self.u.shape[0]
 
 
-@dataclass
-class ReplicaBatch:
-    """Values of the same two units from two fully independent network draws."""
-
-    u1: np.ndarray
-    v1: np.ndarray
-    u2: np.ndarray
-    v2: np.ndarray
-    layer: int
-    tap: str
-    prior: PriorSpec
-
-    @property
-    def n(self) -> int:
-        return self.u1.shape[0]
-
-    def combined(self, mode: str) -> SampleBatch:
-        """Row-wise sums or differences of the two copies, as one batch without norms."""
-        if mode == SUM_OF_COPIES:
-            u, v = self.u1 + self.u2, self.v1 + self.v2
-        elif mode == DIFF_OF_COPIES:
-            u, v = self.u1 - self.u2, self.v1 - self.v2
-        else:
-            raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
-        return SampleBatch(u, v, self.layer, self.tap, self.prior)
+def combine_copies(first: SampleBatch, second: SampleBatch, mode: str) -> SampleBatch:
+    """Row-wise sums or differences of two copies of the same units, as one batch without norms."""
+    # repr compares priors field by field, with the unused NaN nu equal to itself
+    if len({(b.n, b.layer, b.tap, repr(b.prior)) for b in (first, second)}) != 1:
+        raise ValueError("copies must share n, layer, tap and prior")
+    if mode == SUM_OF_COPIES:
+        u, v = first.u + second.u, first.v + second.v
+    elif mode == DIFF_OF_COPIES:
+        u, v = first.u - second.u, first.v - second.v
+    else:
+        raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
+    return SampleBatch(u, v, first.layer, first.tap, first.prior)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +165,8 @@ def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
     if not 1 <= layer <= len(widths) - 1:
         raise ValueError(f"layer {layer} out of range 1..{len(widths) - 1}")
     if unit_pair is not None:
+        if np.shape(unit_pair) != (2,):
+            raise ValueError(f"unit pair must name exactly two units, got {unit_pair}")
         j1, j2 = unit_pair
         if j1 == j2:
             raise ValueError("unit pair must name two distinct units")
@@ -262,25 +253,3 @@ def sample_units(
                            want_norms)
     return SampleBatch(u, v, layer, tap, config.priors[layer - 1], *norms)
 
-
-def sample_replicas(
-    config: NetworkConfig,
-    input: np.ndarray,
-    layer: int,
-    unit_pair: tuple[int, int],
-    tap: str = "pre",
-    n: int = 0,
-    seed=0,
-    workers: int = 1,
-) -> ReplicaBatch:
-    """Row-wise pairs of two fully independent network draws.
-
-    Within a row, replica 1 and replica 2 resample the weights of every
-    layer independently; the marginal law of each replica equals that of
-    ``sample_units``.
-    """
-    first = sample_units(config, input, layer, unit_pair, tap, n, seed,
-                         replica=0, workers=workers)
-    second = sample_units(config, input, layer, unit_pair, tap, n, seed,
-                          replica=1, workers=workers)
-    return ReplicaBatch(first.u, first.v, second.u, second.v, layer, tap, first.prior)

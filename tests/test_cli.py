@@ -266,11 +266,42 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err.startswith("bnndep: error: widths must be positive integers")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_enumerate_rejects_non_finite_input(self, capsys, value):
+        # a NaN input used to enumerate to an exact 0 and exit 0
+        assert main(["oracle", "enumerate", f"--net-input={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "bnndep: error: input and support values must be finite\n"
+
+    @pytest.mark.parametrize("pair", ["0,1,1", "0"])
+    def test_enumerate_rejects_a_pair_of_other_length(self, capsys, pair):
+        assert main(["oracle", "enumerate", "--units-pair", pair]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bnndep: error: unit pair must name exactly two units")
+
 
 class TestConfigHandling:
     def test_print_config_has_all_defaults(self, capsys):
         assert main(["print-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        # written out, since DEFAULT_CONFIG is derived from the flag table
+        assert doc == {
+            "depths": [2, 3, 4],
+            "widths": [2, 5, 10],
+            "input_dim": 100,
+            "n": 100000,
+            "grid": {"lo": -1.0, "hi": 1.0, "steps": 41},
+            "activation": {"kind": "relu", "alpha": 1.0},
+            "prior": {"family": "gaussian", "scale_mode": "fan_in",
+                      "sigma0": 1.0, "rho": 0.0, "nu": None},
+            "tap": "pre",
+            "units": [0, 1],
+            "seed": 42,
+            "workers": 1,
+            "out_dir": "out",
+            "color_limit": None,
+            "formats": ["csv", "svg", "json"],
+        }
         assert doc == DEFAULT_CONFIG
 
     def test_print_config_round_trip(self, tmp_path, capsys):

@@ -26,11 +26,10 @@ from bnndep.network import PriorSpec, uniform_config
 from bnndep.sampling import (
     DIFF_OF_COPIES,
     SUM_OF_COPIES,
-    ReplicaBatch,
     SampleBatch,
     SeedSpec,
+    combine_copies,
     generate_input,
-    sample_replicas,
     sample_units,
 )
 from bnndep.exact import sample_discrete_net, toy_relu_net
@@ -94,9 +93,10 @@ class TestSampleShapes:
             batch = sample_units(cfg, x, 2, (0, 1), "post", 100, SeedSpec(5), want_norms=norms)
             assert batch.u.shape == batch.v.shape == (100,)
             assert norms == (batch.prev_norms is not None)
-        reps = sample_replicas(cfg, x, 3, (0, 2), "pre", 100, SeedSpec(6))
+        reps = [sample_units(cfg, x, 3, (0, 2), "pre", 100, SeedSpec(6), replica=r)
+                for r in (0, 1)]
         for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
-            assert reps.combined(mode).n == 100
+            assert combine_copies(*reps, mode).n == 100
         assert sample_discrete_net(toy_relu_net(), 2, (0, 1), "post", 50, SeedSpec(7)).n == 50
 
 
@@ -195,36 +195,56 @@ class TestDeltaCombo:
         rng = np.random.default_rng(2)
         u = rng.standard_normal(50)
         v = rng.standard_normal(50)
-        reps = ReplicaBatch(u, v, -u, -v, 2, "pre", PriorSpec())
-        e = delta_upper(reps.combined(SUM_OF_COPIES), 0.0, 0.0)
+        e = delta_upper(combine_copies(make_batch(u, v), make_batch(-u, -v), SUM_OF_COPIES),
+                        0.0, 0.0)
         assert e.value == 0.0  # all sums are exactly zero, p11 = p1 = p2 = 1
 
     def test_exchanged_units_are_symmetric(self):
         rng = np.random.default_rng(3)
-        arrays = rng.standard_normal((4, 100))
-        reps = ReplicaBatch(*arrays, 2, "pre", PriorSpec())
-        swapped = ReplicaBatch(arrays[1], arrays[0], arrays[3], arrays[2], 2, "pre", PriorSpec())
-        a = delta_upper(reps.combined(DIFF_OF_COPIES), 0.1, 0.1)
-        b = delta_upper(swapped.combined(DIFF_OF_COPIES), 0.1, 0.1)
+        u1, v1, u2, v2 = rng.standard_normal((4, 100))
+        a = delta_upper(combine_copies(make_batch(u1, v1), make_batch(u2, v2), DIFF_OF_COPIES),
+                        0.1, 0.1)
+        b = delta_upper(combine_copies(make_batch(v1, u1), make_batch(v2, u2), DIFF_OF_COPIES),
+                        0.1, 0.1)
         assert a.value == b.value
 
     def test_mode_validation(self):
-        reps = ReplicaBatch(*(np.zeros(3),) * 4, 2, "pre", PriorSpec())
+        zeros = make_batch(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            delta_upper(reps.combined("product"), 0, 0)
+            delta_upper(combine_copies(zeros, zeros, "product"), 0, 0)
         with pytest.raises(ValueError, match="mode must be"):
-            reps.combined("single")  # the CLI's one-network value never reaches combined
+            combine_copies(zeros, zeros, "single")  # the CLI's one-network value stays out
 
     def test_combined_is_bitwise_sum_and_difference(self):
         rng = np.random.default_rng(5)
         u1, v1, u2, v2 = rng.standard_normal((4, 200)) * 10.0 ** rng.integers(-8, 8, (4, 200))
-        reps = ReplicaBatch(u1, v1, u2, v2, 3, "post", PriorSpec(sigma0=2.0))
+        norms = np.ones(200)
+        first = SampleBatch(u1, v1, 3, "post", PriorSpec(sigma0=2.0), norms)
+        second = SampleBatch(u2, v2, 3, "post", PriorSpec(sigma0=2.0), norms)
         for mode, (u, v) in ((SUM_OF_COPIES, (u1 + u2, v1 + v2)),
                              (DIFF_OF_COPIES, (u1 - u2, v1 - v2))):
-            batch = reps.combined(mode)
+            batch = combine_copies(first, second, mode)
             assert batch.u.tobytes() == u.tobytes() and batch.v.tobytes() == v.tobytes()
             assert (batch.layer, batch.tap, batch.prior) == (3, "post", PriorSpec(sigma0=2.0))
             assert batch.prev_norms is None
+
+    @pytest.mark.parametrize("field,value", [
+        ("u", np.zeros(1)), ("layer", 3), ("tap", "post"), ("prior", PriorSpec(sigma0=2.0)),
+    ])
+    def test_mismatched_copies_rejected(self, field, value):
+        # copies of unequal length used to broadcast into a batch of the longer one's n
+        first = make_batch(np.arange(5.0), np.arange(5.0))
+        second = dataclasses.replace(first, **({"u": value, "v": value} if field == "u"
+                                               else {field: value}))
+        for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
+            with pytest.raises(ValueError, match="copies must share n, layer, tap and prior"):
+                combine_copies(first, second, mode)
+
+    def test_separately_built_nan_nu_priors_match(self):
+        # a non-t prior's nu is NaN, and NaN != NaN; copies still combine
+        first, second = (SampleBatch(np.ones(3), np.ones(3), 2, "pre",
+                                     PriorSpec(nu=float("nan"))) for _ in range(2))
+        assert combine_copies(first, second, SUM_OF_COPIES).u.tolist() == [2.0, 2.0, 2.0]
 
 
 class TestCovariance:
@@ -479,6 +499,13 @@ class TestPdProfile:
             with pytest.raises(ValueError, match="positive-dependence estimation needs finite"):
                 pd_profile(mm, [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        # NaN and +inf used to give None right-tail cells, and +inf a left cell of every row
+        m = np.random.default_rng(11).standard_normal((50, 3))
+        with pytest.raises(ValueError, match="positive-dependence estimation needs finite"):
+            pd_profile(m, [0.0, bad])
+
 
 class TestDeltaGrid:
     def test_single_cell_equals_scalar_estimator_bitwise(self):
@@ -537,9 +564,9 @@ class TestDeltaGrid:
     def test_replica_grid_matches_scalar_combo(self):
         rng = np.random.default_rng(14)
         arrays = rng.standard_normal((4, 800))
-        reps = ReplicaBatch(*arrays, 2, "pre", PriorSpec())
+        first, second = make_batch(*arrays[:2]), make_batch(*arrays[2:])
         z = np.array([-0.5, 0.0, 0.5])
         for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
-            grid = delta_grid(reps.combined(mode), z, z)
-            e = delta_upper(reps.combined(mode), 0.0, 0.5)
+            grid = delta_grid(combine_copies(first, second, mode), z, z)
+            e = delta_upper(combine_copies(first, second, mode), 0.0, 0.5)
             assert grid.value[1, 2] == e.value

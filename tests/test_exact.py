@@ -69,6 +69,15 @@ class TestEnumeration:
         val = enumerate_exact_delta(spec, 1, (0, 1), 0.0, 0.0)
         assert val == 0  # first layer units are independent
 
+    @pytest.mark.parametrize("spec", [
+        {"input": (np.nan,)}, {"input": (np.inf,)}, {"input": (-np.inf,)},
+        {"support_values": (-np.inf, np.inf)}, {"support_values": (np.nan, np.nan)},
+    ])
+    def test_non_finite_input_or_support_rejected(self, spec):
+        # NaN input used to enumerate to an exact 0, an infinite support to 1/16
+        with pytest.raises(ValueError, match="input and support values must be finite"):
+            DiscreteNetSpec(**{"widths": (1, 1, 2), "input": (1.0,), **spec})
+
     @pytest.mark.parametrize("weights", [(1, 0), (1.0, 1.0), (0.5, 0.5)])
     def test_non_integer_or_non_positive_weights_rejected(self, weights):
         with pytest.raises(ValueError):
@@ -159,7 +168,7 @@ class TestDiscreteMonteCarlo:
 
 @pytest.mark.parametrize("layer, pair, tap", [
     (0, (0, 1), "pre"), (3, (0, 1), "pre"), (2, (1, 1), "pre"), (2, (0, 2), "pre"),
-    (2, (-1, 0), "pre"), (2, (0, 1), "mid"),
+    (2, (-1, 0), "pre"), (2, (0, 1), "mid"), (2, (0, 1, 1), "pre"),
 ])
 def test_sampler_and_exact_reject_bad_queries_alike(layer, pair, tap):
     toy = toy_relu_net()

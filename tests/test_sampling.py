@@ -5,12 +5,11 @@ from scipy.stats import ks_2samp
 import bnndep.sampling as sampling
 from bnndep.network import IDENTITY, RELU, TANH, PriorSpec, forward, uniform_config
 from bnndep.sampling import (
-    ReplicaBatch,
     SampleBatch,
     SeedSpec,
+    combine_copies,
     generate_input,
     sample_layer,
-    sample_replicas,
     sample_units,
     sample_weight_matrix,
 )
@@ -128,6 +127,13 @@ class TestSampleUnits:
         with pytest.raises(ValueError):
             sample_units(cfg, x, 2, (0, 1), "mid", 10, SeedSpec(1))
 
+    @pytest.mark.parametrize("pair", [(0, 1, 1), (0,), (), 1, ((0, 1), (1, 2))])
+    def test_unit_pair_must_name_two_units(self, small_setup, pair):
+        # (0, 1, 1) used to fail with "too many values to unpack"
+        x, cfg = small_setup
+        with pytest.raises(ValueError, match="unit pair must name exactly two units"):
+            sample_units(cfg, x, 2, pair, "pre", 10, SeedSpec(1))
+
 
 class TestPrevNorms:
     def test_norms_nonnegative_and_zero_iff_dead(self):
@@ -163,31 +169,44 @@ class TestPrevNorms:
                 assert np.allclose(batch.prev_norms, np.sqrt(q), rtol=1e-12, atol=0.0)
 
 
+def copies(cfg, x, n, seed, workers=1):
+    """Replicas 0 and 1 of the same draw: two independent copies of the networks."""
+    return [sample_units(cfg, x, 2, (0, 1), "pre", n, seed, replica=r, workers=workers)
+            for r in (0, 1)]
+
+
 class TestReplicas:
     def test_empty(self, small_setup):
         x, cfg = small_setup
-        assert sample_replicas(cfg, x, 2, (0, 1), "pre", 0, SeedSpec(1)).n == 0
+        for mode in ("sum", "diff"):
+            assert combine_copies(*copies(cfg, x, 0, SeedSpec(1)), mode).n == 0
 
     def test_replica_independence(self, small_setup):
         x, cfg = small_setup
         n = 20_000
-        reps = sample_replicas(cfg, x, 2, (0, 1), "pre", n, SeedSpec(13))
-        assert abs(np.corrcoef(reps.u1, reps.u2)[0, 1]) < 4 / np.sqrt(n)
+        first, second = copies(cfg, x, n, SeedSpec(13))
+        assert abs(np.corrcoef(first.u, second.u)[0, 1]) < 4 / np.sqrt(n)
 
     def test_marginal_law_matches_sample_units(self, small_setup):
         x, cfg = small_setup
         n = 20_000
-        reps = sample_replicas(cfg, x, 2, (0, 1), "pre", n, SeedSpec(14))
+        first, second = copies(cfg, x, n, SeedSpec(14))
         solo = sample_units(cfg, x, 2, (0, 1), "pre", n, SeedSpec(15))
         rel_tol = 8 * np.sqrt(2.0 / n)
-        assert abs(reps.u1.var() / solo.u.var() - 1.0) < rel_tol
-        assert abs(reps.u2.var() / solo.u.var() - 1.0) < rel_tol
+        assert abs(first.u.var() / solo.u.var() - 1.0) < rel_tol
+        assert abs(second.u.var() / solo.u.var() - 1.0) < rel_tol
 
     def test_first_replica_matches_plain_draws(self, small_setup):
         x, cfg = small_setup
-        reps = sample_replicas(cfg, x, 2, (0, 1), "pre", 400, SeedSpec(16))
+        first, _ = copies(cfg, x, 400, SeedSpec(16))
         solo = sample_units(cfg, x, 2, (0, 1), "pre", 400, SeedSpec(16))
-        assert np.array_equal(reps.u1, solo.u)
+        assert np.array_equal(first.u, solo.u) and np.array_equal(first.v, solo.v)
+
+    def test_second_replica_is_thread_count_invariant(self, small_setup):
+        x, cfg = small_setup
+        _, a = copies(cfg, x, 9000, SeedSpec(17), workers=1)
+        _, b = copies(cfg, x, 9000, SeedSpec(17), workers=3)
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 class TestSampleLayer:

@@ -5,13 +5,13 @@ other side is this checkout's ``src`` as it stands, uncommitted edits
 included.  Each side runs the same command lines in fresh interpreters:
 every subcommand at each seed (sweeps with their CSV/SVG/JSON files, one-grid
 ``delta`` runs, ``concordance``, ``pd``, ``oracle``, ``selftest`` with its
-JSON report, ``print-config``) and every ``--help`` page once.  At each seed
-``delta``, ``concordance`` and ``pd`` also run from a ``--config`` document,
-which the tool writes into the run directory on both sides.  Each run's
-stdout, stderr, exit code and files land in one directory per run, and
-``diff -r`` compares the two trees.  The exit status is 0 when they match;
-otherwise the scratch directory is kept and its path printed.
-Run from the repository root:
+JSON report, ``print-config``), then once a bare ``print-config`` and every
+``--help`` page.  At each seed ``delta``, ``concordance`` and ``pd`` also run
+from a ``--config`` document, which the tool writes into the run directory
+on both sides.  Each run's stdout, stderr, exit code and files land in one
+directory per run, and ``diff -r`` compares the two trees.  The exit status
+is 0 when they match; otherwise the scratch directory is kept and its path
+printed.  Run from the repository root:
 
     python3 tools/output_identity.py --base HEAD --seeds 1-3 --n 2000
 """
@@ -64,6 +64,8 @@ def runs(seeds: list[int], n: int) -> list[tuple[str, list[str], dict | None]]:
                                  "--color-limit", "0", "--out", "{out}"]),
             ("delta_post_diff", ["delta", *c, *one, "--tap", "post", "--combo", "diff",
                                  "--grid-steps", "9", "--out", "{out}"]),
+            ("delta_diff_workers", ["delta", *c, *one, "--combo", "diff", "--workers", "2",
+                                    "--out", "{out}"]),
             ("concordance", ["concordance", *c, "--depths", "2", "--widths", "3"]),
             ("concordance_post", ["concordance", *c, *one, "--tap", "post"]),
             ("concordance_layer", ["concordance", *c, *one, "--layer", "2"]),
@@ -80,6 +82,8 @@ def runs(seeds: list[int], n: int) -> list[tuple[str, list[str], dict | None]]:
                "prior": {"family": "equicorrelated", "rho": 0.3}, "workers": 2}
         out += [(f"s{s}/{sub}_config", [sub, "--config", "{out}/config.json", "--out", "{out}"],
                  doc) for sub in ("delta", "concordance", "pd")]
+    # every default of the config document, with no flag or file over it
+    out.append(("defaults/print_config", ["print-config"], None))
     out.append(("help/bnndep", ["--help"], None))
     out += [(f"help/{sub}", [sub, "--help"], None) for sub in SUBCOMMANDS]
     return out
