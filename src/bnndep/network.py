@@ -82,6 +82,7 @@ STUDENT_T = "student_t"
 FAN_IN = "fan_in"
 FIXED = "fixed"
 
+_NAN = float("nan")  # the unset student_t nu
 _FAMILIES = (GAUSSIAN_IID, GAUSSIAN_EQUICORRELATED, STUDENT_T)
 _SCALE_MODES = (FAN_IN, FIXED)
 
@@ -104,7 +105,12 @@ class PriorSpec:
     scale_mode: str = FAN_IN
     sigma0: float = 1.0
     rho: float = 0.0              # equicorrelated only
-    nu: float = float("nan")      # student_t only
+    nu: float = _NAN              # student_t only
+
+    def __post_init__(self):
+        # every NaN nu becomes the one _NAN object, so equal priors compare and hash equal
+        if self.nu != self.nu:
+            object.__setattr__(self, "nu", _NAN)
 
     def validate(self, fan_in: int) -> None:
         if self.family not in _FAMILIES:

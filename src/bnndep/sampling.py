@@ -94,8 +94,8 @@ class SampleBatch:
 
 def combine_copies(first: SampleBatch, second: SampleBatch, mode: str) -> SampleBatch:
     """Row-wise sums or differences of two copies of the same units, as one batch without norms."""
-    # repr compares priors field by field, with the unused NaN nu equal to itself
-    if len({(b.n, b.layer, b.tap, repr(b.prior)) for b in (first, second)}) != 1:
+    if (first.n, first.layer, first.tap, first.prior) != (
+            second.n, second.layer, second.tap, second.prior):
         raise ValueError("copies must share n, layer, tap and prior")
     if mode == SUM_OF_COPIES:
         u, v = first.u + second.u, first.v + second.v
@@ -167,6 +167,9 @@ def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
     if unit_pair is not None:
         if np.shape(unit_pair) != (2,):
             raise ValueError(f"unit pair must name exactly two units, got {unit_pair}")
+        if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                   for j in unit_pair):
+            raise ValueError(f"unit indices must be integers, got {unit_pair}")
         j1, j2 = unit_pair
         if j1 == j2:
             raise ValueError("unit pair must name two distinct units")

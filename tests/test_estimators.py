@@ -241,10 +241,12 @@ class TestDeltaCombo:
                 combine_copies(first, second, mode)
 
     def test_separately_built_nan_nu_priors_match(self):
-        # a non-t prior's nu is NaN, and NaN != NaN; copies still combine
-        first, second = (SampleBatch(np.ones(3), np.ones(3), 2, "pre",
-                                     PriorSpec(nu=float("nan"))) for _ in range(2))
-        assert combine_copies(first, second, SUM_OF_COPIES).u.tolist() == [2.0, 2.0, 2.0]
+        # a non-t prior's nu is NaN, and NaN != NaN; copies still combine, whichever
+        # NaN each prior was built with
+        first = SampleBatch(np.ones(3), np.ones(3), 2, "pre", PriorSpec(nu=float("nan")))
+        for prior in (PriorSpec(), PriorSpec(nu=float("nan")), PriorSpec(nu=np.nan)):
+            second = SampleBatch(np.ones(3), np.ones(3), 2, "pre", prior)
+            assert combine_copies(first, second, SUM_OF_COPIES).u.tolist() == [2.0, 2.0, 2.0]
 
 
 class TestCovariance:

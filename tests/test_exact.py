@@ -169,6 +169,8 @@ class TestDiscreteMonteCarlo:
 @pytest.mark.parametrize("layer, pair, tap", [
     (0, (0, 1), "pre"), (3, (0, 1), "pre"), (2, (1, 1), "pre"), (2, (0, 2), "pre"),
     (2, (-1, 0), "pre"), (2, (0, 1), "mid"), (2, (0, 1, 1), "pre"),
+    # a float index used to fail with numpy's IndexError and a bool with a broadcast error
+    (2, (0, 1.5), "pre"), (2, (0, 1.0), "pre"), (2, (0, True), "pre"),
 ])
 def test_sampler_and_exact_reject_bad_queries_alike(layer, pair, tap):
     toy = toy_relu_net()

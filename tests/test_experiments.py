@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri, stdtr
 
+import bnndep.estimators as est
 import bnndep.experiments as experiments
-from bnndep.estimators import DeltaGrid, delta_grid, kendall_tau
+from bnndep.estimators import DeltaGrid, EstimateWithError, delta_grid, kendall_tau
 from bnndep.experiments import (
     GridRange,
     SweepSpec,
@@ -139,8 +141,6 @@ class TestRunSweep:
 
     def test_sign_flip_fault_detected(self, monkeypatch, tiny_sweep):
         # corrupting the estimator must surface as quadrant violations
-        import bnndep.estimators as est
-
         real = est.delta_grid
 
         def flipped(*args, **kwargs):
@@ -187,13 +187,71 @@ def layer1_grids():
     return [cell.grid for cell in run_sweep(spec).values()]
 
 
+def family(scorer, items, tails):
+    """``_family`` over one test per item, scored by ``scorer``."""
+    return experiments._family({f"t{i}": (scorer(x), tails) for i, x in enumerate(items)})
+
+
+def null_scores(grid):
+    return experiments._z(grid.value, grid.std_error)
+
+
+class TestFamily:
+    """The one verdict rule: Bonferroni over all tails at an equal share of SUITE_ALPHA."""
+
+    def test_threshold_worst_score_and_margin(self):
+        ok, detail = experiments._family({"a": (np.array([1.0, -2.0]), 1), "b": (3.0, 2)})
+        share = experiments.SUITE_ALPHA / experiments.STATISTICAL_CRITERIA
+        assert detail["tails"] == 4
+        assert detail["threshold"] == pytest.approx(-ndtri(share / 4), rel=1e-12)
+        assert detail["worst_scores"] == {"a": 1.0, "b": 3.0}
+        assert detail["worst_score"] == 3.0
+        assert detail["margin"] == 3.0 / detail["threshold"]
+        assert ok
+
+    def test_score_at_threshold_fails(self):
+        threshold = experiments._family({"a": (0.0, 2)})[1]["threshold"]
+        assert not experiments._family({"a": (threshold, 2)})[0]
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_nan_score_fails(self, position):
+        scores = [0.5, 0.5]
+        scores[position] = np.nan
+        ok, detail = experiments._family({"a": (np.array(scores), 1), "b": (-1.0, 2)})
+        assert not ok and np.isnan(detail["worst_score"]) and np.isnan(detail["margin"])
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    return experiments.acceptance_suite(master_seed=SELFTEST_SEED_21, n=5000, workers=2)
+
+
+class TestSuiteBudget:
+    def test_shares_sum_to_suite_alpha(self, small_report):
+        scored = [r for r in small_report.results if "threshold" in r.details]
+        assert [r.cid for r in scored] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 13]
+        assert all("margin" in r.details for r in scored)
+        shares = [r.details["tails"] * ndtr(-r.details["threshold"]) for r in scored]
+        assert sum(shares) == pytest.approx(experiments.SUITE_ALPHA, rel=1e-9)
+
+    def test_flipped_theoretical_sign_fails_criteria_1_and_7(self, monkeypatch, small_report):
+        status = {r.cid: r.status for r in small_report.results}
+        assert status[1] == status[7] == "pass"
+        monkeypatch.setattr(experiments, "theoretical_sign",
+                            lambda z1, z2: -theoretical_sign(z1, z2))
+        flipped = experiments.acceptance_suite(master_seed=SELFTEST_SEED_21, n=5000, workers=2)
+        status = {r.cid: r.status for r in flipped.results}
+        assert status[1] == status[7] == "fail"
+
+
 class TestGridNull:
     """Criterion 2's grid test: family-wise level, with power against dependence."""
 
     def test_null_grids_pass_at_bonferroni_threshold(self, layer1_grids):
-        ok, detail = experiments._grid_null(layer1_grids)
-        # 3 x 41 x 41 cells at family-wise 1e-3, two-sided
-        assert detail["cell_threshold"] == pytest.approx(5.2009, abs=1e-4)
+        ok, detail = family(null_scores, layer1_grids, 2)
+        # 3 x 41 x 41 two-sided cells at a 5e-4 share (the criterion's tau and rho
+        # add 4 tails, 5.3284)
+        assert detail["threshold"] == pytest.approx(5.3283, abs=1e-4)
         # the largest cell here reads 2.73 SE; the explicit-weight sampler's draws
         # read 4.12 SE, beyond an uncorrected 4-SE rule
         assert ok
@@ -201,14 +259,14 @@ class TestGridNull:
     def test_dependent_grid_fails(self, layer1_grids):
         spec = SweepSpec(depths=(2,), widths=(2,), n=20_000, master_seed=SELFTEST_SEED_24)
         l2h2 = run_sweep(spec)[(2, 2)].grid
-        assert not experiments._grid_null([l2h2] + layer1_grids[1:])[0]
+        assert not family(null_scores, [l2h2] + layer1_grids[1:], 2)[0]
 
     def test_single_planted_cell_fails(self, layer1_grids):
         g = layer1_grids[0]
         value = g.value.copy()
-        value[20, 20] = 5.3 * g.std_error[20, 20]
+        value[20, 20] = 5.4 * g.std_error[20, 20]
         planted = DeltaGrid(g.z1_values, g.z2_values, value, g.std_error, g.n)
-        assert not experiments._grid_null([planted] + layer1_grids[1:])[0]
+        assert not family(null_scores, [planted] + layer1_grids[1:], 2)[0]
 
 
 class TestConcordanceNull:
@@ -222,15 +280,30 @@ class TestConcordanceNull:
         config = uniform_config(100, 5, 3)
         batch = sample_units(config, generate_input(100, seed), 3, (0, 1), "pre", 20_000,
                              seed.child(6, 0, 3), workers=2)
-        ok, detail = experiments._concordance_null(batch)
-        assert ok and detail["tau"] == kendall_tau(batch).value
+        ok, detail = experiments._family(experiments._concordance_tests(batch))
+        assert ok and set(detail["worst_scores"]) == {"tau", "rho"}
+
+    def test_t_score_read_as_normal(self, monkeypatch):
+        # the blocks read +1 and -1 in turn and the whole batch 0.4: a batch-means t
+        # of 3.98, whose tail at NULL_BLOCKS - 1 degrees of freedom is a normal 3.82
+        def fake(a, b):
+            return EstimateWithError(0.4 if a.size == 20_000 else (-1.0) ** a[0], 0.0, a.size)
+
+        monkeypatch.setattr(est, "kendall_tau_arrays", fake)
+        monkeypatch.setattr(est, "spearman_rho_arrays", fake)
+        u = np.repeat(np.arange(100.0), 200)
+        tests = experiments._concordance_tests(SampleBatch(u, u, 2, "pre", PriorSpec()))
+        t = 0.4 / np.sqrt(100 / 99 / 100)
+        assert tests["tau"] == tests["rho"] == (pytest.approx(-ndtri(stdtr(99, -t))), 2)
+        assert tests["tau"][0] == pytest.approx(3.82, abs=0.01)
 
     def test_planted_concordance_fails(self):
         rng = np.random.default_rng(3)
         u, noise = rng.standard_normal((2, 20_000))
-        assert experiments._concordance_null(SampleBatch(u, noise, 2, "pre", PriorSpec()))[0]
+        null = SampleBatch(u, noise, 2, "pre", PriorSpec())
+        assert experiments._family(experiments._concordance_tests(null))[0]
         planted = SampleBatch(u, u + 10.0 * noise, 2, "pre", PriorSpec())
-        assert not experiments._concordance_null(planted)[0]
+        assert not experiments._family(experiments._concordance_tests(planted))[0]
 
 
 @pytest.fixture(scope="module")
@@ -243,9 +316,9 @@ class TestSignRule:
     """Criterion 1's test: one-sided Bonferroni over every cell, with power."""
 
     def test_healthy_grids_pass(self, base_grids):
-        ok, detail = experiments._sign_rule(base_grids)
-        # 9 x 41 x 41 cells at family-wise 1e-3, one-sided, as perfbench's check
-        assert detail["cell_threshold"] == pytest.approx(5.2758, abs=1e-4)
+        ok, detail = family(experiments._sign_scores, base_grids, 1)
+        # 9 x 41 x 41 one-sided cells at a 5e-4 share
+        assert detail["threshold"] == pytest.approx(5.4015, abs=1e-4)
         assert ok
 
     def test_empty_cross_count_passes(self):
@@ -259,25 +332,25 @@ class TestSignRule:
         p1, p2 = 1 - 42 / 5000, 1 - 81 / 5000
         assert grid.null_std_error[0, 0] == pytest.approx(
             np.sqrt(p1 * (1 - p1) * p2 * (1 - p2) / 5000), rel=1e-12)
-        assert experiments._sign_rule([grid])[0]
+        assert family(experiments._sign_scores, [grid], 1)[0]
 
     def test_grid_without_null_se_is_rejected(self, base_grids):
         # grids read back from CSV carry no null SE; the rule must say so, not guess
         grid = dataclasses.replace(base_grids[0], null_std_error=None)
         with pytest.raises(ValueError, match="null_std_error"):
-            experiments._sign_rule([grid])
+            experiments._sign_scores(grid)
 
     def test_flipped_theoretical_sign_fails(self, monkeypatch, base_grids):
         monkeypatch.setattr(experiments, "theoretical_sign",
                             lambda z1, z2: -theoretical_sign(z1, z2))
-        assert not experiments._sign_rule(base_grids)[0]
+        assert not family(experiments._sign_scores, base_grids, 1)[0]
 
 
 POINTS = [(z1, z2) for z1 in (-0.5, 0.0, 0.5) for z2 in (-0.5, 0.0, 0.5)]
 
 
 class TestRaoBlackwellAgreement:
-    """Criterion 9's agreement test: family-wise over 18 cells, with power."""
+    """Criterion 9's agreement test: family-wise over 18 two-sided cells, with power."""
 
     @pytest.fixture(scope="class")
     def batches(self):
@@ -286,13 +359,17 @@ class TestRaoBlackwellAgreement:
         return [sample_units(uniform_config(100, h, 2), x, 2, (0, 1), "pre", 20_000,
                              seed.child(9, h), want_norms=True, workers=2) for h in (2, 5)]
 
+    def rb_scores(self, batch):
+        return experiments._rb_scores(batch, POINTS)
+
     def test_healthy_batches_pass(self, batches):
-        ok, worst = experiments._rb_agreement(batches, POINTS)
-        assert ok and len(worst) == 2
+        ok, detail = family(self.rb_scores, batches, 2)
+        assert detail["threshold"] == pytest.approx(4.1910, abs=1e-4)
+        assert ok and detail["tails"] == 36
 
     def test_doubled_norms_fail(self, batches):
         wrong = [dataclasses.replace(b, prev_norms=2.0 * b.prev_norms) for b in batches]
-        assert not experiments._rb_agreement(wrong, POINTS)[0]
+        assert not family(self.rb_scores, wrong, 2)[0]
 
 
 class TestPdFloor:
@@ -307,12 +384,12 @@ class TestPdFloor:
                 for layer in (2, 1)]
 
     def test_healthy_profiles_pass(self, layers):
-        ok, detail = experiments._pd_floor(*layers)
-        # 42 one-sided layer-2 tails and 2 x 42 layer-1 tails at family-wise 1e-3
-        assert detail["cell_threshold"] == pytest.approx(4.3162, abs=1e-4)
+        ok, detail = experiments._family(experiments._pd_tests(*layers))
+        # 42 one-sided layer-2 tails and 2 x 42 layer-1 tails at a 5e-4 share
+        assert detail["threshold"] == pytest.approx(4.4669, abs=1e-4)
         assert ok
 
     def test_first_unit_forced_negative_fails(self, layers):
         mat2 = layers[0].copy()
         mat2[:, 0] = -np.abs(mat2[:, 0])
-        assert not experiments._pd_floor(mat2, layers[1])[0]
+        assert not experiments._family(experiments._pd_tests(mat2, layers[1]))[0]

@@ -101,6 +101,19 @@ class TestValidateConfig:
             validate_config(NetworkConfig((4, 2), RELU, (prior,)))
 
 
+class TestPriorSpec:
+    @pytest.mark.parametrize("nu", [float("nan"), np.nan, np.float64("nan")])
+    def test_any_nan_nu_equals_the_default(self, nu):
+        # NaN != NaN, so two priors with fresh NaNs used to compare unequal
+        prior = PriorSpec(nu=nu)
+        assert prior == PriorSpec() and hash(prior) == hash(PriorSpec())
+        assert PriorSpec(family="student_t", nu=nu) == PriorSpec(family="student_t", nu=nu)
+
+    def test_set_nu_kept(self):
+        assert PriorSpec(family="student_t", nu=3.0).nu == 3.0
+        assert PriorSpec(family="student_t", nu=3.0) != PriorSpec(family="student_t")
+
+
 class TestForward:
     def test_single_layer_identity_matvec(self):
         cfg = uniform_config(2, 1, 1, IDENTITY)
