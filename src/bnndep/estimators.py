@@ -14,7 +14,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .network import GAUSSIAN_EQUICORRELATED, GAUSSIAN_IID, STUDENT_T, PriorSpec, _finite
 from .sampling import SampleBatch
@@ -340,6 +339,7 @@ def spearman_rho(batch: SampleBatch) -> EstimateWithError:
 
 def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
     """Survival of the prior's family at z / y, for checked norms y; 1 or 0 where y = 0."""
+    from scipy.special import ndtr, stdtr
     if prior.family not in (GAUSSIAN_IID, GAUSSIAN_EQUICORRELATED, STUDENT_T):
         raise ValueError(f"no closed-form conditional exceedance for {prior.family!r}")
     survival = partial(stdtr, prior.nu) if prior.family == STUDENT_T else ndtr
@@ -372,8 +372,11 @@ def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWit
     Replaces each indicator with its conditional exceedance probability
     given the previous-layer norm and returns the sample covariance of the
     two resulting sequences; estimates the same quantity as
-    :func:`delta_upper` with never-larger asymptotic variance.
+    :func:`delta_upper` with never-larger asymptotic variance.  The
+    conditional probabilities are those of pre-activations: tap ``"pre"`` only.
     """
+    if batch.tap != "pre":
+        raise ValueError(f"Rao-Blackwell estimation needs tap 'pre', got {batch.tap!r}")
     if batch.prev_norms is None:
         raise ValueError("batch was sampled without previous-layer norms")
     if batch.layer < 2:

@@ -15,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .estimators import LOWER, UPPER, _sample_count
-from .network import RELU, Activation, PriorSpec, _finite
-from .sampling import STREAM_DISCRETE, SampleBatch, _as_seed, _check_query, _run_blocks
+from .network import RELU, Activation, PriorSpec, _check_widths, _finite, _integer
+from .sampling import (
+    STREAM_DISCRETE, SampleBatch, _as_seed, _check_query, _check_run, _run_blocks)
 
 MAX_CONFIGURATIONS = 1 << 24
 _CHUNK = 1 << 16
@@ -40,15 +41,14 @@ class DiscreteNetSpec:
     support_weights: tuple[int, ...] = (1, 1)
 
     def __post_init__(self) -> None:
-        if not all(isinstance(w, (int, np.integer)) and w >= 1 for w in self.widths):
-            raise ValueError(f"widths must be positive integers, got {self.widths}")
+        _check_widths(self.widths)
         if len(self.input) != self.widths[0]:
             raise ValueError("input length must equal the input width")
         if not _finite(self.input, self.support_values):
             raise ValueError("input and support values must be finite")
         if len(self.support_values) != len(self.support_weights):
             raise ValueError("support values and weights must align")
-        if not all(isinstance(w, (int, np.integer)) and w > 0 for w in self.support_weights):
+        if not all(_integer(w) and w > 0 for w in self.support_weights):
             raise ValueError("support weights must be positive integers")
         if set(self.support_values) != {-v for v in self.support_values}:
             raise ValueError("support must be symmetric about zero")
@@ -137,6 +137,7 @@ def sample_discrete_net(
     Blocks are the sampler's, each with its own stream (STREAM_DISCRETE, block).
     """
     _check_query(spec.widths, layer, unit_pair, tap)
+    _check_run(n, 1)
     j1, j2 = unit_pair
     seed = _as_seed(seed)
     m = spec.weight_count(layer)
@@ -170,9 +171,8 @@ def analytic_delta_zero(prev_width: int) -> Fraction:
     1/2, giving dead-layer mass p = 2**-H and the value p(1 - p)/4.
     Depends only on signs, hence invariant to the weight scale.
     """
-    if prev_width < 1:
-        raise ValueError("previous width must be >= 1")
-    p = Fraction(1, 2**prev_width)
+    _check_widths((prev_width,))
+    p = Fraction(1, 2 ** int(prev_width))
     return p * (1 - p) / 4
 
 

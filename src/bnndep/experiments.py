@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri, stdtr
 
 from . import estimators as est
 from . import exact, gridio
@@ -215,6 +214,7 @@ def _family(tests: dict, **extra) -> tuple[bool, dict]:
     tail.  ``margin`` is the worst score over it; 1.0 or more fails, and so
     does a NaN score.
     """
+    from scipy.special import ndtri
     tails = sum(np.size(scores) * k for scores, k in tests.values())
     threshold = float(-ndtri(SUITE_ALPHA / STATISTICAL_CRITERIA / tails))
     worst = {name: float(np.max(scores)) for name, (scores, _) in tests.items()}
@@ -276,6 +276,7 @@ def _concordance_tests(batch: SampleBatch) -> dict:
     t-score has NULL_BLOCKS - 1 degrees of freedom, so it is converted to the
     normal score of the same tail probability.
     """
+    from scipy.special import ndtri, stdtr
     tests = {}
     for name, estimate in (("tau", est.kendall_tau_arrays), ("rho", est.spearman_rho_arrays)):
         blocks = zip(np.array_split(batch.u, NULL_BLOCKS), np.array_split(batch.v, NULL_BLOCKS))

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ConfigError(ValueError):
@@ -22,6 +21,16 @@ class ConfigError(ValueError):
 def _finite(*values) -> bool:
     """Whether every entry of every value is a finite number; the one finite check."""
     return all(np.all(np.isfinite(v)) for v in values)
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool; the one integer check."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_widths(widths) -> None:
+    if not all(_integer(w) and w >= 1 for w in widths):
+        raise ConfigError(f"widths must be positive integers, got {widths}")
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +65,7 @@ class Activation:
         if self.kind == "tanh":
             return np.tanh(x)
         if self.kind == "sigmoid":
+            from scipy.special import expit
             return expit(x)
         # elu: x for x >= 0, alpha * (exp(x) - 1) otherwise
         return np.where(x >= 0.0, x, self.alpha * np.expm1(x))
@@ -187,8 +197,7 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
     """Return ``config`` unchanged iff all structural invariants hold."""
     if config.depth < 1:
         raise ConfigError(f"need at least one hidden layer, got depth {config.depth}")
-    if not all(isinstance(w, (int, np.integer)) and w >= 1 for w in config.widths):
-        raise ConfigError(f"widths must be positive integers, got {config.widths}")
+    _check_widths(config.widths)
     if len(config.priors) != config.depth:
         raise ConfigError(
             f"expected {config.depth} priors (one per hidden layer), "

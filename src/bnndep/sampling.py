@@ -26,6 +26,7 @@ from .network import (
     STUDENT_T,
     NetworkConfig,
     PriorSpec,
+    _integer,
     validate_config,
 )
 
@@ -66,6 +67,11 @@ def _as_seed(seed) -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
 
 
+def _check_tap(tap: str) -> None:
+    if tap not in ("pre", "post"):
+        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Paired draws of two designated units of one layer.
@@ -86,6 +92,7 @@ class SampleBatch:
         shapes = {np.shape(a) for a in (self.u, self.v, self.prev_norms) if a is not None}
         if len(shapes) != 1 or len(shapes.pop()) != 1:
             raise ValueError("a sample batch needs 1-D samples of equal length")
+        _check_tap(self.tap)
 
     @property
     def n(self) -> int:
@@ -145,6 +152,13 @@ def sample_weight_matrix(
 # Block engine
 # ---------------------------------------------------------------------------
 
+def _check_run(n: int, workers: int) -> None:
+    """Reject a draw count or worker count the block engine cannot run, before any allocation."""
+    if not (_integer(n) and _integer(workers) and n >= 0 and workers >= 1):
+        raise ValueError(f"n must be an integer >= 0 and workers an integer >= 1, "
+                         f"got n={n!r}, workers={workers!r}")
+
+
 def _run_blocks(n: int, job: Callable[[int, int, int], None], workers: int) -> None:
     """Invoke ``job(block_index, start, count)`` for every block of [0, n)."""
     tasks = [(k, start, min(_BLOCK, n - start)) for k, start in enumerate(range(0, n, _BLOCK))]
@@ -167,16 +181,14 @@ def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
     if unit_pair is not None:
         if np.shape(unit_pair) != (2,):
             raise ValueError(f"unit pair must name exactly two units, got {unit_pair}")
-        if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
-                   for j in unit_pair):
+        if not all(_integer(j) for j in unit_pair):
             raise ValueError(f"unit indices must be integers, got {unit_pair}")
         j1, j2 = unit_pair
         if j1 == j2:
             raise ValueError("unit pair must name two distinct units")
         if not (0 <= j1 < widths[layer] and 0 <= j2 < widths[layer]):
             raise ValueError(f"unit indices {unit_pair} out of range for width {widths[layer]}")
-    if tap not in ("pre", "post"):
-        raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
+    _check_tap(tap)
 
 
 def _sample(
@@ -193,11 +205,10 @@ def _sample(
     seed = _as_seed(seed)
     widths = config.widths
     _check_query(widths, layer, unit_pair, tap)
+    _check_run(n, workers)
     width = widths[layer]
     if want_norms and layer < 2:
         raise ValueError("previous-layer norms require layer >= 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
     x = np.asarray(input, dtype=np.float64)
     if x.shape != (widths[0],):
         raise ValueError(f"input shape {x.shape} != ({widths[0]},)")

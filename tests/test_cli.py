@@ -448,6 +448,18 @@ class TestOtherCommands:
         capsys.readouterr()
         assert (tmp_path / "d2" / "delta.csv").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "delta"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_leaves_no_directory(self, tmp_path, capsys, command, workers):
+        # workers below 1 used to run serially without a word
+        out = tmp_path / "o"
+        args = [command, "--depths", "2", "--widths", "2", "--n", "400", "--input-dim", "10",
+                "--grid-steps", "3", "--workers", workers, "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bnndep: error:") and "workers an integer >= 1" in err
+        assert not out.exists()
+
     def test_concordance_json(self, capsys):
         args = ["concordance", "--depths", "2", "--widths", "3", "--n", "500",
                 "--input-dim", "10", "--seed", "3"]

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -139,13 +140,6 @@ class TestMidRanks:
                 assert spearman_rho_arrays(u, v).value.hex() == expected.hex()
                 checked += 1
         assert checked >= 70
-
-    def test_import_leaves_scipy_stats_unloaded(self):
-        src = str(Path(bnndep.__file__).resolve().parent.parent)
-        code = "import sys, bnndep; print([m for m in sys.modules if m.startswith('scipy.stats')])"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-        assert out.strip() == "[]"
 
 
 def pair_loop_tau(u, v):
@@ -291,3 +285,58 @@ class TestMonotoneInvariance:
             assert -1.0 <= spearman_rho_arrays(u, v).value <= 1.0
         except ValueError:
             pass
+
+
+def fresh_python(code, *args):
+    """stdout of ``code`` run in a new interpreter that imports bnndep from this checkout."""
+    src = str(Path(bnndep.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+SCIPY_FREE_COMMANDS = """
+import contextlib, io, json, sys
+import bnndep
+from bnndep import cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+loaded = {"import": scipy_modules()}
+out = sys.argv[1]
+net = ["--depths", "2", "--widths", "2", "--n", "400", "--input-dim", "10", "--grid-steps", "3"]
+for argv in (["sweep", *net, "--out", out + "/sweep"], ["delta", *net, "--out", out + "/delta"],
+             ["concordance", *net], ["pd", *net, "--z-steps", "3"],
+             ["oracle", "enumerate"], ["print-config"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+FIRST_SIGMOID_IN_THREADS = """
+import sys
+from bnndep.network import SIGMOID, uniform_config
+from bnndep.sampling import generate_input, sample_units
+
+cfg = uniform_config(10, 3, 2, SIGMOID)
+x = generate_input(10, 1)
+assert "scipy.special" not in sys.modules
+# four blocks, so two worker threads each run a first sigmoid call
+threaded = sample_units(cfg, x, 2, (0, 1), "post", 4 * 4096, 5, workers=2)
+assert "scipy.special" in sys.modules
+serial = sample_units(cfg, x, 2, (0, 1), "post", 4 * 4096, 5, workers=1)
+print(all(a.tobytes() == b.tobytes() for a, b in ((threaded.u, serial.u), (threaded.v, serial.v))))
+"""
+
+
+class TestScipyLoadsOnFirstUse:
+    def test_import_and_scipy_free_commands_load_no_scipy(self, tmp_path):
+        # scipy.special is imported inside the few functions that call it
+        loaded = json.loads(fresh_python(SCIPY_FREE_COMMANDS, str(tmp_path)))
+        assert list(loaded) == ["import", "sweep", "delta", "concordance", "pd", "oracle",
+                                "print-config"]
+        assert all(modules == [] for modules in loaded.values()), loaded
+
+    def test_first_sigmoid_draw_in_worker_threads_matches_serial_draw(self):
+        assert fresh_python(FIRST_SIGMOID_IN_THREADS).strip() == "True"

@@ -80,6 +80,11 @@ class TestSampleShapes:
         with pytest.raises(dataclasses.FrozenInstanceError):
             batch.prev_norms = np.ones(3)
 
+    def test_unknown_tap_rejected(self):
+        # "mid" used to be accepted
+        with pytest.raises(ValueError, match="tap must be 'pre' or 'post'"):
+            SampleBatch(np.zeros(3), np.zeros(3), 2, "mid", PriorSpec())
+
     def test_batch_reads_no_values(self):
         # NaNs pass construction: values are the estimators' to check
         nan = np.broadcast_to(np.nan, (4,))
@@ -353,6 +358,16 @@ class TestRaoBlackwell:
         shallow = SampleBatch(np.zeros(5), np.ones(5), 1, "pre", PriorSpec(), np.ones(5))
         with pytest.raises(ValueError):
             rao_blackwell_delta(shallow, 0, 0)
+
+    def test_post_tap_batch_rejected(self):
+        # a post-tap batch used to be scored as if it held pre-activations: at z = 0 a ReLU
+        # L2H2 net's post-tap value is exactly 0, and RB returned the pre-tap 0.048
+        x = generate_input(20, SeedSpec(3))
+        cfg = uniform_config(20, 2, 2)
+        batch = sample_units(cfg, x, 2, (0, 1), "post", 2000, SeedSpec(3), want_norms=True)
+        assert delta_upper(batch, 0.0, 0.0).value == 0.0
+        with pytest.raises(ValueError, match="tap 'pre'"):
+            rao_blackwell_delta(batch, 0.0, 0.0)
 
     def test_non_finite_norm_rejected(self):
         norms = np.abs(np.random.default_rng(2).standard_normal(100))

@@ -14,7 +14,7 @@ from bnndep.exact import (
     toy_relu_net,
 )
 from bnndep.network import RELU, TANH, NetworkConfig, PriorSpec, forward
-from bnndep.sampling import sample_units
+from bnndep.sampling import sample_layer, sample_units
 
 
 class TestEnumeration:
@@ -83,7 +83,7 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             DiscreteNetSpec(widths=(1, 2), input=(1.0,), support_weights=weights)
 
-    @pytest.mark.parametrize("widths", [(1, 0, 2), (0, 1), (1, -1), (1, 2.0)])
+    @pytest.mark.parametrize("widths", [(1, 0, 2), (0, 1), (1, -1), (1, 2.0), (1, True)])
     def test_non_positive_or_non_integer_widths_rejected(self, widths):
         with pytest.raises(ValueError, match="widths must be positive integers"):
             DiscreteNetSpec(widths=widths, input=(1.0,))
@@ -130,6 +130,16 @@ class TestAnalyticDeltaZero:
 
     def test_float_boundary(self):
         assert float(analytic_delta_zero(2)) == 0.046875
+
+    @pytest.mark.parametrize("width", [0, -1, True, False, 2.5, 2.0, np.float64(2)])
+    def test_non_positive_or_non_integer_width_rejected(self, width):
+        # True used to give 1/16 and 2.5 to fail inside Fraction
+        with pytest.raises(ValueError, match="widths must be positive integers"):
+            analytic_delta_zero(width)
+
+    def test_numpy_width_is_exact(self):
+        # 2 ** np.int64(70) wraps to 0 in int64
+        assert analytic_delta_zero(np.int64(70)) == analytic_delta_zero(70)
 
 
 class TestDiscreteMonteCarlo:
@@ -185,6 +195,35 @@ def test_sampler_and_exact_reject_bad_queries_alike(layer, pair, tap):
             call()
         messages.add(str(info.value))
     assert len(messages) == 1, messages
+
+
+@pytest.mark.parametrize("n, workers", [
+    (-1, 1), (2.5, 1), (10.0, 1), (True, 1), (np.float64(10), 1),
+    (10, 0), (10, -3), (10, 1.5), (10, True),
+])
+def test_samplers_reject_bad_draw_and_worker_counts_alike(n, workers):
+    # n = -1 used to fail with numpy's "negative dimensions", 2.5 with a TypeError, and
+    # workers <= 0 ran serially
+    toy = toy_relu_net()
+    config = NetworkConfig(toy.widths, RELU, (PriorSpec(),) * 2)
+    calls = [lambda: sample_units(config, np.ones(1), 2, (0, 1), "pre", n, 1, workers=workers),
+             lambda: sample_layer(config, np.ones(1), 2, n, 1, workers=workers)]
+    if type(workers) is int and workers == 1:  # the discrete sampler runs on one worker
+        calls.append(lambda: sample_discrete_net(toy, 2, (0, 1), "pre", n, 1))
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1 and "n must be an integer >= 0" in messages.pop()
+
+
+def test_numpy_integer_draw_and_worker_counts_accepted():
+    toy = toy_relu_net()
+    config = NetworkConfig(toy.widths, RELU, (PriorSpec(),) * 2)
+    assert sample_discrete_net(toy, 2, (0, 1), "pre", np.int64(10), 1).n == 10
+    assert sample_layer(config, np.ones(1), 2, np.int64(9000), 1, workers=np.int64(2)).shape \
+        == (9000, 2)
 
 
 class TestDiscreteForward:
