@@ -405,6 +405,8 @@ def pd_profile(layer_samples: np.ndarray, z_values: Sequence[float]) -> PdProfil
         raise ValueError("need an (n, N) matrix with N >= 2 units")
     lead, last = samples[:, :-1], samples[:, -1]
     z = np.asarray(z_values, dtype=np.float64)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("positive-dependence estimation needs a non-empty list of thresholds")
     _sample_count("positive-dependence estimation", last, finite=(lead, z))
     all_up = np.all(lead >= 0.0, axis=1)
     all_down = np.all(lead <= 0.0, axis=1)
@@ -425,8 +427,6 @@ def pd_profile(layer_samples: np.ndarray, z_values: Sequence[float]) -> PdProfil
 
     right = tail_cells(lambda zi: last >= zi, all_up)
     left = tail_cells(lambda zi: last <= zi, all_down)
-    if all(c is None for c in right) and all(c is None for c in left):
-        raise ValueError("every conditioning event is empty")
     min_right = min((c.value for c in right if c is not None), default=None)
     min_left = min((c.value for c in left if c is not None), default=None)
     return PdProfile(z, right, left, min_right, min_left)

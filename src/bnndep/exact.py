@@ -15,9 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .estimators import LOWER, UPPER, _sample_count
-from .network import RELU, Activation, PriorSpec, _check_widths, _finite, _integer
-from .sampling import (
-    STREAM_DISCRETE, SampleBatch, _as_seed, _check_query, _check_run, _run_blocks)
+from .network import RELU, Activation, _check_widths, _finite, _integer
+from .sampling import _check_query
 
 MAX_CONFIGURATIONS = 1 << 24
 _CHUNK = 1 << 16
@@ -73,6 +72,33 @@ def _last_pre(spec: DiscreteNetSpec, weight_values: np.ndarray, layer: int) -> n
     return pre
 
 
+def _configurations(spec: DiscreteNetSpec, layer: int):
+    """Every weight configuration feeding layers 1..layer, in chunks.
+
+    Yields (pre-activations of layer ``layer``, integer weights): each
+    configuration's probability is its weight over the sum of all weights,
+    the support weights' product in lowest terms.
+    """
+    m = spec.weight_count(layer)
+    k = len(spec.support_values)
+    total = k**m
+    if total > MAX_CONFIGURATIONS:
+        raise ValueError(f"{total} configurations exceed the enumeration bound")
+
+    values = np.asarray(spec.support_values, dtype=np.float64)
+    # in lowest terms every partial sum is at most sum(weights)**m, which must fit int64
+    g = math.gcd(*spec.support_weights)
+    reduced = [int(w) // g for w in spec.support_weights]
+    if sum(reduced) ** m >= 2**63:
+        raise ValueError("support weights too large: sum(weights)**m reaches 2**63")
+    wts = np.asarray(reduced, dtype=np.int64)
+    radix = k ** np.arange(m, dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        digits = (idx[:, None] // radix) % k
+        yield _last_pre(spec, values[digits], layer), np.prod(wts[digits], axis=1)
+
+
 def enumerate_exact_delta(
     spec: DiscreteNetSpec,
     layer: int,
@@ -93,70 +119,17 @@ def enumerate_exact_delta(
         raise ValueError(f"thresholds must be finite, got {z1}, {z2}")
     if tail not in (UPPER, LOWER):
         raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
-    m = spec.weight_count(layer)
-    k = len(spec.support_values)
-    total = k**m
-    if total > MAX_CONFIGURATIONS:
-        raise ValueError(f"{total} configurations exceed the enumeration bound")
 
-    values = np.asarray(spec.support_values, dtype=np.float64)
-    # in lowest terms every partial sum is at most sum(weights)**m, which must fit int64
-    g = math.gcd(*spec.support_weights)
-    reduced = [int(w) // g for w in spec.support_weights]
-    denom = sum(reduced) ** m
-    if denom >= 2**63:
-        raise ValueError("support weights too large: sum(weights)**m reaches 2**63")
-    wts = np.asarray(reduced, dtype=np.int64)
-    radix = k ** np.arange(m, dtype=np.int64)
-
-    c11 = c1 = c2 = 0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // radix) % k
-        pre = _last_pre(spec, values[digits], layer)
-        weight = np.prod(wts[digits], axis=1)
+    c11 = c1 = c2 = denom = 0
+    for pre, weight in _configurations(spec, layer):
         u, v = pre[:, j1], pre[:, j2]
         m1, m2 = (u >= z1, v >= z2) if tail == UPPER else (u <= z1, v <= z2)
         c11 += int(weight[m1 & m2].sum())
         c1 += int(weight[m1].sum())
         c2 += int(weight[m2].sum())
+        denom += int(weight.sum())
 
     return Fraction(c11, denom) - Fraction(c1 * c2, denom * denom)
-
-
-def sample_discrete_net(
-    spec: DiscreteNetSpec,
-    layer: int,
-    unit_pair: tuple[int, int],
-    tap: str,
-    n: int,
-    seed,
-) -> SampleBatch:
-    """Monte Carlo draws from the discrete net, for pipeline-equivalence checks.
-
-    Blocks are the sampler's, each with its own stream (STREAM_DISCRETE, block).
-    """
-    _check_query(spec.widths, layer, unit_pair, tap)
-    _check_run(n, 1)
-    j1, j2 = unit_pair
-    seed = _as_seed(seed)
-    m = spec.weight_count(layer)
-    values = np.asarray(spec.support_values, dtype=np.float64)
-    probs = np.asarray(spec.support_weights, dtype=np.float64)
-    probs = probs / probs.sum()
-    u = np.empty(n)
-    v = np.empty(n)
-
-    def job(k: int, start: int, count: int) -> None:
-        digits = seed.stream(STREAM_DISCRETE, k).choice(len(values), size=(count, m), p=probs)
-        pre = _last_pre(spec, values[digits], layer)
-        vals = pre if tap == "pre" else spec.activation(pre)
-        u[start : start + count] = vals[:, j1]
-        v[start : start + count] = vals[:, j2]
-
-    _run_blocks(n, job, workers=1)
-    # prior field is unused for discrete supports; record a placeholder
-    return SampleBatch(u, v, layer, tap, PriorSpec())
 
 
 # ---------------------------------------------------------------------------

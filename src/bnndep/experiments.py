@@ -16,7 +16,7 @@ import numpy as np
 
 from . import estimators as est
 from . import exact, gridio
-from .network import IDENTITY, RELU, Activation, PriorSpec, _finite, uniform_config
+from .network import IDENTITY, RELU, Activation, PriorSpec, _finite, _integer, uniform_config
 from .sampling import (
     DIFF_OF_COPIES,
     SUM_OF_COPIES,
@@ -32,10 +32,10 @@ _EPS = 1e-12
 
 # The suite's false-alarm budget: the chance, fixed in advance rather than
 # tuned to data, that a correct run fails any of its STATISTICAL_CRITERIA
-# criteria (1-9 and 13).  Each gets an equal share, split by Bonferroni over
-# its tails (see _family).  perfbench's sign-rule check keeps its own rate.
+# criteria (1-7, 9 and 13).  Each gets an equal share, split by Bonferroni
+# over its tails (see _family).  perfbench's sign-rule check keeps its own rate.
 SUITE_ALPHA = 5e-3
-STATISTICAL_CRITERIA = 10
+STATISTICAL_CRITERIA = 9
 # Equal blocks behind the batch-means SE of the zero-concordance test.
 NULL_BLOCKS = 100
 
@@ -47,6 +47,8 @@ class GridRange:
     steps: int = 41
 
     def values(self) -> np.ndarray:
+        if not _integer(self.steps):
+            raise ValueError(f"grid steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("grid needs at least 2 steps")
         if not (_finite(self.lo, self.hi) and self.lo < self.hi):
@@ -286,6 +288,24 @@ def _concordance_tests(batch: SampleBatch) -> dict:
     return tests
 
 
+def _enumeration_match() -> tuple[bool, dict]:
+    """Criterion 8: the grid estimator on the toy net's enumerated law equals the oracle.
+
+    The law is a sample holding each weight configuration as many times as
+    its integer weight.  Its probabilities are multiples of 1/8, so every
+    cell over z in {-0.5, 0, 0.5}, both tails, must match exactly.
+    """
+    toy, z = exact.toy_relu_net(), np.array([-0.5, 0.0, 0.5])
+    pre = np.concatenate([np.repeat(p, w, axis=0) for p, w in exact._configurations(toy, 2)])
+    law = SampleBatch(pre[:, 0], pre[:, 1], 2, "pre", PriorSpec())
+    mismatches = 0
+    for tail in (est.UPPER, est.LOWER):
+        ex = [[float(exact.enumerate_exact_delta(toy, 2, (0, 1), z1, z2, tail)) for z2 in z]
+              for z1 in z]
+        mismatches += int(np.count_nonzero(est.delta_grid(law, z, z, tail).value != ex))
+    return mismatches == 0, {"cells": 2 * z.size**2, "mismatches": mismatches}
+
+
 # Batches behind criterion 9's repeated-seed variance comparison.
 RB_SEEDS = 30
 
@@ -372,16 +392,6 @@ def acceptance_suite(
             tests[f"{mode}_center"] = (-c.value / max(c.std_error, _EPS), 1)
         return _family(tests)
 
-    def enumeration_match():
-        toy = exact.toy_relu_net()
-        mc = exact.sample_discrete_net(toy, 2, (0, 1), "pre", n, seed.child(8))
-        tests = {}
-        for z1, z2 in ((0.0, 0.0), (0.5, 0.5), (0.5, -0.5)):
-            ex = float(exact.enumerate_exact_delta(toy, 2, (0, 1), z1, z2))
-            e = est.delta_upper(mc, z1, z2)
-            tests[f"z=({z1},{z2})"] = (_z(e.value - ex, e.std_error), 2)
-        return _family(tests)
-
     def rao_blackwell():
         points = [(z1, z2) for z1 in (-0.5, 0.0, 0.5) for z2 in (-0.5, 0.0, 0.5)]
         tests = {f"H{h}": (_rb_scores(draw((9, h), h, 2, norms=True), points), 2)
@@ -456,7 +466,7 @@ def acceptance_suite(
         (5, "zero covariance between units at every layer", zero_covariance),
         (6, "zero concordance beyond the first layer", zero_concordance),
         (7, "independent-copy sum/diff grids obey the sign rule", copy_signs),
-        (8, "sampler and estimators match exact enumeration", enumeration_match),
+        (8, "estimators on the enumerated law equal exact enumeration", _enumeration_match),
         (9, "conditional-expectation estimator agrees with smaller variance", rao_blackwell),
         (10, "fast concordance equals brute force bitwise on 200 batches", brute_force_match),
         (11, "dependence decreases with width at depth 2", width_trend),

@@ -189,6 +189,8 @@ def uniform_config(
     prior: PriorSpec = PriorSpec(),
 ) -> NetworkConfig:
     """Network with ``depth`` hidden layers all of width ``hidden_width``."""
+    if not _integer(depth):
+        raise ConfigError(f"depth must be an integer, got {depth!r}")
     widths = (input_dim,) + (hidden_width,) * depth
     return validate_config(NetworkConfig(widths, activation, (prior,) * depth))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .network import (
 # Stream labels, the first key of SeedSpec.stream; distinct labels give independent streams.
 STREAM_INPUT = 0
 STREAM_WEIGHTS = 1
-STREAM_DISCRETE = 2
 
 # Row-wise combinations of two independent copies (combine_copies).
 SUM_OF_COPIES = "sum"
@@ -55,6 +54,11 @@ class SeedSpec:
     master_seed: int
     namespace: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        keys = (self.master_seed, *self.namespace)
+        if not all(_integer(k) and k >= 0 for k in keys):
+            raise ValueError(f"seeds and stream labels must be integers >= 0, got {keys!r}")
+
     def child(self, *label: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.namespace + tuple(label))
 
@@ -64,7 +68,7 @@ class SeedSpec:
 
 
 def _as_seed(seed) -> SeedSpec:
-    return seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+    return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
 
 def _check_tap(tap: str) -> None:
@@ -122,6 +126,8 @@ def generate_input(dim: int, seed) -> np.ndarray:
 
     The same vector is reused for every Monte Carlo sample of a run.
     """
+    if not _integer(dim):
+        raise ValueError(f"input dimension must be an integer, got {dim!r}")
     if dim < 1:
         raise ValueError(f"input dimension must be >= 1, got {dim}")
     return _as_seed(seed).stream(STREAM_INPUT).standard_normal(dim)
@@ -151,25 +157,6 @@ def sample_weight_matrix(
 # ---------------------------------------------------------------------------
 # Block engine
 # ---------------------------------------------------------------------------
-
-def _check_run(n: int, workers: int) -> None:
-    """Reject a draw count or worker count the block engine cannot run, before any allocation."""
-    if not (_integer(n) and _integer(workers) and n >= 0 and workers >= 1):
-        raise ValueError(f"n must be an integer >= 0 and workers an integer >= 1, "
-                         f"got n={n!r}, workers={workers!r}")
-
-
-def _run_blocks(n: int, job: Callable[[int, int, int], None], workers: int) -> None:
-    """Invoke ``job(block_index, start, count)`` for every block of [0, n)."""
-    tasks = [(k, start, min(_BLOCK, n - start)) for k, start in enumerate(range(0, n, _BLOCK))]
-    if workers <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            job(*t)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        # blocks write to disjoint output slices, so completion order is irrelevant
-        list(ex.map(lambda t: job(*t), tasks))
-
 
 def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
     """Reject a layer, unit pair or tap that a net of ``widths`` (input first) cannot serve.
@@ -202,10 +189,13 @@ def _sample(
     previous-layer norms follow as a last (n,) vector when ``want_norms``.
     """
     validate_config(config)
-    seed = _as_seed(seed)
+    # block k reads stream (STREAM_WEIGHTS, replica, k); the child checks the replica
+    streams = _as_seed(seed).child(STREAM_WEIGHTS, replica)
     widths = config.widths
     _check_query(widths, layer, unit_pair, tap)
-    _check_run(n, workers)
+    if not (_integer(n) and _integer(workers) and n >= 0 and workers >= 1):
+        raise ValueError(f"n must be an integer >= 0 and workers an integer >= 1, "
+                         f"got n={n!r}, workers={workers!r}")
     width = widths[layer]
     if want_norms and layer < 2:
         raise ValueError("previous-layer norms require layer >= 2")
@@ -218,7 +208,7 @@ def _sample(
         outs.append(np.empty(n))
 
     def job(k: int, start: int, count: int) -> None:
-        rng = seed.stream(STREAM_WEIGHTS, replica, k)
+        rng = streams.stream(k)
         h = x[None, :]
         for prior, fan_in, units in zip(config.priors[:layer], widths, widths[1:]):
             norm = np.sqrt(prior.scatter_quadratic(h, fan_in))
@@ -233,7 +223,14 @@ def _sample(
         if want_norms:
             outs[-1][start : start + count] = norm
 
-    _run_blocks(n, job, workers)
+    tasks = [(k, start, min(_BLOCK, n - start)) for k, start in enumerate(range(0, n, _BLOCK))]
+    if workers <= 1 or len(tasks) <= 1:
+        for t in tasks:
+            job(*t)
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
+            # blocks write to disjoint output slices, so completion order is irrelevant
+            list(ex.map(lambda t: job(*t), tasks))
     return outs
 
 

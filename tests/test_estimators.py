@@ -32,7 +32,6 @@ from bnndep.sampling import (
     generate_input,
     sample_units,
 )
-from bnndep.exact import sample_discrete_net, toy_relu_net
 
 
 def make_batch(u, v, layer=2, prev_norms=None):
@@ -102,7 +101,6 @@ class TestSampleShapes:
                 for r in (0, 1)]
         for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
             assert combine_copies(*reps, mode).n == 100
-        assert sample_discrete_net(toy_relu_net(), 2, (0, 1), "post", 50, SeedSpec(7)).n == 50
 
 
 class TestDeltaHandValues:
@@ -502,11 +500,13 @@ class TestPdProfile:
         m = np.zeros((3, 2))
         with pytest.raises(ValueError):
             pd_profile(m[:1], [0.0])  # n < 2
-        rng = np.random.default_rng(10)
-        mm = rng.standard_normal((50, 2))
-        with pytest.raises(ValueError):
-            # both tails empty cannot happen with one z; force via empty z list semantics
-            pd_profile(mm, [])
+
+    @pytest.mark.parametrize("z", [[], np.zeros((0,)), 0.0, [[0.0]]])
+    def test_empty_or_non_list_thresholds_rejected(self, z):
+        # an empty list used to be reported as "every conditioning event is empty"
+        mm = np.random.default_rng(10).standard_normal((50, 2))
+        with pytest.raises(ValueError, match="needs a non-empty list of thresholds"):
+            pd_profile(mm, z)
 
     def test_non_finite_row_rejected(self):
         m = np.random.default_rng(11).standard_normal((50, 3))

@@ -4,13 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bnndep.estimators import delta_upper
 from bnndep.exact import (
     DiscreteNetSpec,
     _last_pre,
     analytic_delta_zero,
     enumerate_exact_delta,
-    sample_discrete_net,
     toy_relu_net,
 )
 from bnndep.network import RELU, TANH, NetworkConfig, PriorSpec, forward
@@ -50,6 +48,12 @@ class TestEnumeration:
     def test_first_layer_single_pair_independent(self):
         spec = DiscreteNetSpec(widths=(2, 2), input=(1.0, 0.5))
         assert enumerate_exact_delta(spec, 1, (0, 1), 0.2, -0.4) == 0
+
+    @pytest.mark.parametrize("layer", [0, 3])
+    def test_layer_out_of_range_rejected(self, layer):
+        # layer 3 used to raise IndexError and layer 0 to report a bad unit pair
+        with pytest.raises(ValueError, match="layer"):
+            enumerate_exact_delta(toy_relu_net(), layer, (0, 1), 0.0, 0.0)
 
     def test_enumeration_bound(self):
         spec = DiscreteNetSpec(widths=(5, 5, 5), input=(1.0,) * 5)
@@ -142,40 +146,6 @@ class TestAnalyticDeltaZero:
         assert analytic_delta_zero(np.int64(70)) == analytic_delta_zero(70)
 
 
-class TestDiscreteMonteCarlo:
-    def test_pipeline_equivalence_smoke(self):
-        toy = toy_relu_net()
-        batch = sample_discrete_net(toy, 2, (0, 1), "pre", 20_000, 3)
-        for z1, z2 in ((0.0, 0.0), (0.5, 0.5), (0.5, -0.5)):
-            exact_val = float(enumerate_exact_delta(toy, 2, (0, 1), z1, z2))
-            e = delta_upper(batch, z1, z2)
-            assert abs(e.value - exact_val) <= 4 * e.std_error
-
-    def test_deterministic(self):
-        toy = toy_relu_net()
-        a = sample_discrete_net(toy, 2, (0, 1), "pre", 500, 3)
-        b = sample_discrete_net(toy, 2, (0, 1), "pre", 500, 3)
-        assert np.array_equal(a.u, b.u)
-
-    def test_values_live_on_support_products(self):
-        toy = toy_relu_net()
-        batch = sample_discrete_net(toy, 2, (0, 1), "pre", 1000, 4)
-        assert set(np.unique(batch.u)) <= {-1.0, 0.0, 1.0}
-
-    @pytest.mark.parametrize("layer", [0, 3])
-    def test_layer_out_of_range_rejected(self, layer):
-        # layer 3 used to raise IndexError and layer 0 to report a bad unit pair
-        with pytest.raises(ValueError, match="layer"):
-            sample_discrete_net(toy_relu_net(), layer, (0, 1), "pre", 100, 3)
-        with pytest.raises(ValueError, match="layer"):
-            enumerate_exact_delta(toy_relu_net(), layer, (0, 1), 0.0, 0.0)
-
-    def test_unknown_tap_rejected(self):
-        # "mid" used to return post-activation values labelled "mid"
-        with pytest.raises(ValueError, match="tap"):
-            sample_discrete_net(toy_relu_net(), 2, (0, 1), "mid", 100, 3)
-
-
 @pytest.mark.parametrize("layer, pair, tap", [
     (0, (0, 1), "pre"), (3, (0, 1), "pre"), (2, (1, 1), "pre"), (2, (0, 2), "pre"),
     (2, (-1, 0), "pre"), (2, (0, 1), "mid"), (2, (0, 1, 1), "pre"),
@@ -185,8 +155,7 @@ class TestDiscreteMonteCarlo:
 def test_sampler_and_exact_reject_bad_queries_alike(layer, pair, tap):
     toy = toy_relu_net()
     config = NetworkConfig(toy.widths, RELU, (PriorSpec(),) * 2)
-    calls = [lambda: sample_units(config, np.ones(1), layer, pair, tap, 10, 1),
-             lambda: sample_discrete_net(toy, layer, pair, tap, 10, 1)]
+    calls = [lambda: sample_units(config, np.ones(1), layer, pair, tap, 10, 1)]
     if tap == "pre":
         calls.append(lambda: enumerate_exact_delta(toy, layer, pair, 0.0, 0.0))
     messages = set()
@@ -208,8 +177,6 @@ def test_samplers_reject_bad_draw_and_worker_counts_alike(n, workers):
     config = NetworkConfig(toy.widths, RELU, (PriorSpec(),) * 2)
     calls = [lambda: sample_units(config, np.ones(1), 2, (0, 1), "pre", n, 1, workers=workers),
              lambda: sample_layer(config, np.ones(1), 2, n, 1, workers=workers)]
-    if type(workers) is int and workers == 1:  # the discrete sampler runs on one worker
-        calls.append(lambda: sample_discrete_net(toy, 2, (0, 1), "pre", n, 1))
     messages = set()
     for call in calls:
         with pytest.raises(ValueError) as info:
@@ -221,7 +188,6 @@ def test_samplers_reject_bad_draw_and_worker_counts_alike(n, workers):
 def test_numpy_integer_draw_and_worker_counts_accepted():
     toy = toy_relu_net()
     config = NetworkConfig(toy.widths, RELU, (PriorSpec(),) * 2)
-    assert sample_discrete_net(toy, 2, (0, 1), "pre", np.int64(10), 1).n == 10
     assert sample_layer(config, np.ones(1), 2, np.int64(9000), 1, workers=np.int64(2)).shape \
         == (9000, 2)
 

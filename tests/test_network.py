@@ -101,6 +101,18 @@ class TestValidateConfig:
             validate_config(NetworkConfig((4, 2), RELU, (prior,)))
 
 
+class TestUniformConfig:
+    @pytest.mark.parametrize("sizes", [(10, 2, 2.0), (10, 2, True), (10, 2.5, 2), (2.5, 2, 2),
+                                       (True, 2, 2)])
+    def test_non_integer_sizes_rejected(self, sizes):
+        # depth 2.0 used to fail with "can't multiply sequence by non-int of type 'float'"
+        with pytest.raises(ConfigError):
+            uniform_config(*sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert uniform_config(np.int64(10), np.int64(2), np.int64(3)).widths == (10, 2, 2, 2)
+
+
 class TestPriorSpec:
     @pytest.mark.parametrize("nu", [float("nan"), np.nan, np.float64("nan")])
     def test_any_nan_nu_equals_the_default(self, nu):

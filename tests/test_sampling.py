@@ -34,6 +34,54 @@ class TestGenerateInput:
         with pytest.raises(ValueError):
             generate_input(0, SeedSpec(1))
 
+    @pytest.mark.parametrize("dim", [2.5, 3.0, np.float64(3), True])
+    def test_non_integer_dim_rejected(self, dim):
+        # 2.5 and True used to fail inside numpy with a TypeError
+        with pytest.raises(ValueError, match="input dimension must be an integer"):
+            generate_input(dim, SeedSpec(1))
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [1.5, 1.9, 1.0, True, "3", -1, np.float64(1)])
+    def test_non_integer_or_negative_seed_rejected(self, seed):
+        # 1.9 and True used to draw seed 1's vector and "3" to be parsed as 3
+        with pytest.raises(ValueError, match="seeds and stream labels must be integers >= 0"):
+            generate_input(3, seed)
+        with pytest.raises(ValueError, match="seeds and stream labels must be integers >= 0"):
+            SeedSpec(seed)
+
+    @pytest.mark.parametrize("label", [1.5, True, -2])
+    def test_non_integer_or_negative_label_rejected(self, label):
+        with pytest.raises(ValueError, match="seeds and stream labels must be integers >= 0"):
+            SeedSpec(1).child(0, label)
+        with pytest.raises(ValueError, match="seeds and stream labels must be integers >= 0"):
+            SeedSpec(1, (label,))
+
+    @pytest.mark.parametrize("replica", [1.5, True, -1])
+    def test_non_integer_or_negative_replica_rejected(self, small_setup, replica):
+        # True used to draw replica 1
+        x, cfg = small_setup
+        with pytest.raises(ValueError, match="seeds and stream labels must be integers >= 0"):
+            sample_units(cfg, x, 2, (0, 1), "pre", 10, 3, replica=replica)
+
+    def test_numpy_integers_keep_the_bits(self, small_setup):
+        x, cfg = small_setup
+        assert np.array_equal(generate_input(3, np.int64(7)), generate_input(3, 7))
+        a = sample_units(cfg, x, 2, (0, 1), "pre", 100, np.uint32(5), replica=np.int64(1))
+        b = sample_units(cfg, x, 2, (0, 1), "pre", 100, SeedSpec(5), replica=1)
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+    def test_stream_keys_are_the_seed_sequence_spawn_keys(self):
+        # the mapping from seed to bits: master seed as entropy, namespace and labels as key
+        def philox(entropy, key):
+            seq = np.random.SeedSequence(entropy, spawn_key=key)
+            return np.random.Generator(np.random.Philox(seq)).standard_normal(4)
+
+        seed = SeedSpec(3, (1, 2))
+        assert np.array_equal(seed.stream(0).standard_normal(4), philox(3, (1, 2, 0)))
+        assert np.array_equal(seed.child(5).stream(0).standard_normal(4), philox(3, (1, 2, 5, 0)))
+        assert np.array_equal(generate_input(4, 9), philox(9, (sampling.STREAM_INPUT,)))
+
 
 class TestWeightMatrix:
     def test_iid_variance(self):

@@ -20,15 +20,7 @@ import random
 from collections import Counter
 
 from bnndep import acceptance_suite
-
-
-def seed_list(text: str) -> list[int]:
-    """Benchmark seeds from a comma-separated list of numbers and ranges, e.g. ``1-30,301``."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+from output_identity import seed_list
 
 
 def main() -> None:
