@@ -38,11 +38,9 @@ from .network import (
     TANH,
     Activation,
     ConfigError,
-    LayerValues,
     NetworkConfig,
     PriorSpec,
     elu,
-    forward,
     uniform_config,
     validate_config,
 )
@@ -53,7 +51,6 @@ from .sampling import (
     generate_input,
     sample_layer,
     sample_units,
-    sample_weight_matrix,
 )
 
 __version__ = "0.1.0"

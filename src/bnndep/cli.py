@@ -25,7 +25,7 @@ from . import exact
 from .experiments import GridRange, SweepSpec, acceptance_suite, run_sweep, summarize
 from .gridio import _check_color_limit, render_heatmap, write_grid_csv
 from .network import Activation, ConfigError, NetworkConfig, PriorSpec, uniform_config
-from .sampling import combine_copies, generate_input, sample_layer, sample_units
+from .sampling import SeedSpec, combine_copies, generate_input, sample_layer, sample_units
 
 
 class UsageError(ValueError):
@@ -145,6 +145,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError("depths and widths must each name at least one value")
     if len(doc["units"]) != 2:
         raise UsageError("units must name exactly two indices")
+    SeedSpec(doc["seed"])  # the samplers' seed rule, before any command runs
     _check_color_limit(doc["color_limit"])
     return doc
 

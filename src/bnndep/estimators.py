@@ -1,10 +1,9 @@
 """Dependence estimators with standard errors.
 
 Every estimator is a pure function of an immutable sample batch.  Standard
-errors come from closed-form influence functions (O(n)); a seeded bootstrap
-is available for validation.  Tail events use weak inequalities (>=, <=)
-throughout: with ReLU taps the value 0 carries real probability mass, so
-the choice is semantically load-bearing.
+errors come from closed-form influence functions (O(n)).  Tail events use
+weak inequalities (>=, <=) throughout: with ReLU taps the value 0 carries
+real probability mass, so the choice is semantically load-bearing.
 """
 
 from __future__ import annotations
@@ -200,23 +199,6 @@ def covariance(batch: SampleBatch) -> EstimateWithError:
     """Unbiased sample covariance of the unit pair, influence-function SE."""
     return _cov_with_se(batch.u, batch.v,
                         _sample_count("covariance estimation", batch.u, batch.v))
-
-
-def bootstrap_std_error(
-    statistic: Callable[[np.ndarray, np.ndarray], float],
-    u: np.ndarray,
-    v: np.ndarray,
-    resamples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Seeded nonparametric bootstrap SE, for validating the closed forms."""
-    rng = np.random.default_rng(seed)
-    n = _sample_count("bootstrap", u, v)
-    vals = np.empty(resamples)
-    for b in range(resamples):
-        idx = rng.integers(0, n, n)
-        vals[b] = statistic(u[idx], v[idx])
-    return float(vals.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------

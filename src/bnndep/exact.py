@@ -1,21 +1,20 @@
 """Ground truth independent of the Monte Carlo path.
 
-Exact enumeration of tiny discrete-weight networks, closed-form values for
-the ReLU dead-layer case, and an O(n^2) concordance reference.  The
-enumerator keeps probability weights as exact integers over a common power
-denominator and only converts to floating point at the boundary.
+Exact enumeration of tiny ReLU networks with weights uniform on {-1, +1},
+closed-form values for the ReLU dead-layer case, and an O(n^2) concordance
+reference.  The enumerator counts configurations as exact integers over a
+power-of-two denominator and only converts to floating point at the boundary.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .estimators import LOWER, UPPER, _sample_count
-from .network import RELU, Activation, _check_widths, _finite, _integer
+from .network import RELU, _check_widths, _finite
 from .sampling import _check_query
 
 MAX_CONFIGURATIONS = 1 << 24
@@ -25,32 +24,22 @@ _TAU_ROWS = 256     # brute-force tau rows compared with every column at once
 
 @dataclass(frozen=True)
 class DiscreteNetSpec:
-    """Network whose weights are i.i.d. over a finite symmetric support.
+    """ReLU network whose weights are i.i.d. uniform on {-1, +1}.
 
-    Default support is the two-point +-1 distribution with equal weights.
-    These supports are not elliptical, so only estimator correctness (not
+    These weights are not elliptical, so only estimator correctness (not
     the sign guarantees that require elliptical weights) should be asserted
     against them, except where sign-symmetry alone suffices.
     """
 
     widths: tuple[int, ...]
     input: tuple[float, ...]
-    activation: Activation = RELU
-    support_values: tuple[float, ...] = (-1.0, 1.0)
-    support_weights: tuple[int, ...] = (1, 1)
 
     def __post_init__(self) -> None:
         _check_widths(self.widths)
         if len(self.input) != self.widths[0]:
             raise ValueError("input length must equal the input width")
-        if not _finite(self.input, self.support_values):
-            raise ValueError("input and support values must be finite")
-        if len(self.support_values) != len(self.support_weights):
-            raise ValueError("support values and weights must align")
-        if not all(_integer(w) and w > 0 for w in self.support_weights):
-            raise ValueError("support weights must be positive integers")
-        if set(self.support_values) != {-v for v in self.support_values}:
-            raise ValueError("support must be symmetric about zero")
+        if not _finite(self.input):
+            raise ValueError("input must be finite")
 
     def weight_count(self, layer: int) -> int:
         return sum(self.widths[l - 1] * self.widths[l] for l in range(1, layer + 1))
@@ -62,41 +51,29 @@ def toy_relu_net() -> DiscreteNetSpec:
 
 
 def _last_pre(spec: DiscreteNetSpec, weight_values: np.ndarray, layer: int) -> np.ndarray:
-    """Layer ``layer`` pre-activations of (count, m) flat weight draws, as ``network.forward``."""
+    """Layer ``layer`` pre-activations of (count, m) flat weight draws, in float64."""
     shapes = list(zip(spec.widths[:layer], spec.widths[1 : layer + 1]))
     flat = np.split(weight_values, np.cumsum([r * c for r, c in shapes])[:-1], axis=1)
     h = np.asarray(spec.input, dtype=np.float64)[None, :]
     for w, (r, c) in zip(flat, shapes):
         pre = np.matmul(h[:, None, :], w.reshape(-1, r, c))[:, 0, :]
-        h = spec.activation(pre)
+        h = RELU(pre)
     return pre
 
 
 def _configurations(spec: DiscreteNetSpec, layer: int):
-    """Every weight configuration feeding layers 1..layer, in chunks.
+    """Layer ``layer`` pre-activations of every weight configuration, in chunks.
 
-    Yields (pre-activations of layer ``layer``, integer weights): each
-    configuration's probability is its weight over the sum of all weights,
-    the support weights' product in lowest terms.
+    Configuration ``idx`` sets weight ``i`` of the m weights to +1 where bit
+    ``i`` of ``idx`` is set and to -1 elsewhere; each has probability 2**-m.
     """
     m = spec.weight_count(layer)
-    k = len(spec.support_values)
-    total = k**m
+    total = 1 << m
     if total > MAX_CONFIGURATIONS:
         raise ValueError(f"{total} configurations exceed the enumeration bound")
-
-    values = np.asarray(spec.support_values, dtype=np.float64)
-    # in lowest terms every partial sum is at most sum(weights)**m, which must fit int64
-    g = math.gcd(*spec.support_weights)
-    reduced = [int(w) // g for w in spec.support_weights]
-    if sum(reduced) ** m >= 2**63:
-        raise ValueError("support weights too large: sum(weights)**m reaches 2**63")
-    wts = np.asarray(reduced, dtype=np.int64)
-    radix = k ** np.arange(m, dtype=np.int64)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // radix) % k
-        yield _last_pre(spec, values[digits], layer), np.prod(wts[digits], axis=1)
+        yield _last_pre(spec, ((idx[:, None] >> np.arange(m)) & 1) * 2.0 - 1.0, layer)
 
 
 def enumerate_exact_delta(
@@ -109,9 +86,9 @@ def enumerate_exact_delta(
 ) -> Fraction:
     """Exceedance difference by exhaustive enumeration; exact rational result.
 
-    Iterates every configuration of the weights feeding layers 1..layer,
-    weighting each by its exact probability.  Deterministic and invariant
-    under relabeling of the two units.
+    Counts the configurations of the weights feeding layers 1..layer whose
+    units reach the thresholds; each configuration has probability 2**-m.
+    Deterministic and invariant under relabeling of the two units.
     """
     _check_query(spec.widths, layer, unit_pair, "pre")
     j1, j2 = unit_pair
@@ -120,15 +97,15 @@ def enumerate_exact_delta(
     if tail not in (UPPER, LOWER):
         raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
 
-    c11 = c1 = c2 = denom = 0
-    for pre, weight in _configurations(spec, layer):
+    c11 = c1 = c2 = 0
+    for pre in _configurations(spec, layer):
         u, v = pre[:, j1], pre[:, j2]
         m1, m2 = (u >= z1, v >= z2) if tail == UPPER else (u <= z1, v <= z2)
-        c11 += int(weight[m1 & m2].sum())
-        c1 += int(weight[m1].sum())
-        c2 += int(weight[m2].sum())
-        denom += int(weight.sum())
+        c11 += int(np.count_nonzero(m1 & m2))
+        c1 += int(np.count_nonzero(m1))
+        c2 += int(np.count_nonzero(m2))
 
+    denom = 1 << spec.weight_count(layer)
     return Fraction(c11, denom) - Fraction(c1 * c2, denom * denom)
 
 

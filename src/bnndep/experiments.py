@@ -291,12 +291,12 @@ def _concordance_tests(batch: SampleBatch) -> dict:
 def _enumeration_match() -> tuple[bool, dict]:
     """Criterion 8: the grid estimator on the toy net's enumerated law equals the oracle.
 
-    The law is a sample holding each weight configuration as many times as
-    its integer weight.  Its probabilities are multiples of 1/8, so every
-    cell over z in {-0.5, 0, 0.5}, both tails, must match exactly.
+    The law is a sample holding each of the 8 weight configurations once.
+    Its probabilities are multiples of 1/8, so every cell over z in
+    {-0.5, 0, 0.5}, both tails, must match exactly.
     """
     toy, z = exact.toy_relu_net(), np.array([-0.5, 0.0, 0.5])
-    pre = np.concatenate([np.repeat(p, w, axis=0) for p, w in exact._configurations(toy, 2)])
+    pre = np.concatenate(list(exact._configurations(toy, 2)))
     law = SampleBatch(pre[:, 0], pre[:, 1], 2, "pre", PriorSpec())
     mismatches = 0
     for tail in (est.UPPER, est.LOWER):

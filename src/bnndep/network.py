@@ -1,4 +1,4 @@
-"""Network configuration, activation functions, and deterministic forward evaluation.
+"""Network configuration, activation functions and weight priors.
 
 A network is a stack of bias-free linear layers: each layer computes the
 matrix-vector product of its weight matrix (transposed) with the previous
@@ -9,7 +9,7 @@ layer's output, then applies the activation elementwise.  All arithmetic is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -161,7 +161,7 @@ class PriorSpec:
 
 
 # ---------------------------------------------------------------------------
-# Network configuration and forward evaluation
+# Network configuration
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -210,42 +210,3 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
     for layer, prior in enumerate(config.priors, start=1):
         prior.validate(config.widths[layer - 1])
     return config
-
-
-@dataclass
-class LayerValues:
-    """Per-layer pre- and post-activation vectors from one forward pass."""
-
-    input: np.ndarray
-    pre: list[np.ndarray]   # pre[l-1] is layer l's pre-activation vector
-    post: list[np.ndarray]  # post[l-1] = activation(pre[l-1])
-
-
-def forward(
-    config: NetworkConfig,
-    weights: Sequence[np.ndarray],
-    input: np.ndarray,
-) -> LayerValues:
-    """Propagate ``input`` through the network with the given weights.
-
-    Deterministic: identical (config, weights, input) produce bit-identical
-    results.  No bias terms.
-    """
-    x = np.asarray(input, dtype=np.float64)
-    if len(weights) != config.depth:
-        raise ConfigError(f"expected {config.depth} weight matrices, got {len(weights)}")
-    if x.shape != (config.widths[0],):
-        raise ConfigError(f"input shape {x.shape} != ({config.widths[0]},)")
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = []
-    h = x
-    for layer, w in enumerate(weights, start=1):
-        w = np.asarray(w, dtype=np.float64)
-        expected = (config.widths[layer - 1], config.widths[layer])
-        if w.shape != expected:
-            raise ConfigError(f"layer {layer} weights shape {w.shape} != {expected}")
-        g = w.T @ h
-        h = config.activation(g)
-        pre.append(g)
-        post.append(h)
-    return LayerValues(input=x, pre=pre, post=post)

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .network import (
-    GAUSSIAN_EQUICORRELATED,
     STUDENT_T,
     NetworkConfig,
     PriorSpec,
@@ -131,27 +130,6 @@ def generate_input(dim: int, seed) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"input dimension must be >= 1, got {dim}")
     return _as_seed(seed).stream(STREAM_INPUT).standard_normal(dim)
-
-
-def sample_weight_matrix(
-    spec: PriorSpec, rows: int, cols: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One (rows, cols) weight matrix drawn from ``spec``; the sampler's test reference.
-
-    Columns are mutually independent; the equicorrelated family mixes in
-    the column mean, the student_t family divides each Gaussian column by an
-    independent chi-square mixing variable.
-    """
-    spec.validate(rows)
-    w = rng.standard_normal((rows, cols))
-    if spec.family == GAUSSIAN_EQUICORRELATED and rows > 1 and spec.rho != 0.0:
-        a = np.sqrt(1.0 - spec.rho)
-        shift = np.sqrt(1.0 + (rows - 1) * spec.rho) - a
-        w = a * w + shift * w.mean(axis=0, keepdims=True)
-    w *= spec.column_std(rows)
-    if spec.family == STUDENT_T:
-        w *= np.sqrt(spec.nu / rng.chisquare(spec.nu, (1, cols)))
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -271,13 +271,16 @@ class TestOracleCommand:
         # a NaN input used to enumerate to an exact 0 and exit 0
         assert main(["oracle", "enumerate", f"--net-input={value}"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == "bnndep: error: input and support values must be finite\n"
+        assert out == "" and err == "bnndep: error: input must be finite\n"
 
     @pytest.mark.parametrize("pair", ["0,1,1", "0"])
     def test_enumerate_rejects_a_pair_of_other_length(self, capsys, pair):
         assert main(["oracle", "enumerate", "--units-pair", pair]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bnndep: error: unit pair must name exactly two units")
+
+
+SEED_ERROR = "bnndep: error: seeds and stream labels must be integers >= 0"
 
 
 class TestConfigHandling:
@@ -326,6 +329,12 @@ class TestConfigHandling:
     def test_bad_units_rejected(self):
         assert main(["print-config", "--units", "1,2,3"]) == 1
 
+    def test_negative_seed_flag_rejected(self, capsys):
+        # print-config used to print a seed that every sampling command rejects, and exit 0
+        assert main(["print-config", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(SEED_ERROR)
+
     @staticmethod
     def config_exit(tmp_path, capsys, text, *args):
         cfg = tmp_path / "run.json"
@@ -351,6 +360,10 @@ class TestConfigHandling:
         assert code == 0 and json.loads(out)["seed"] == 7
         for text in ('{"seed": true}', '{"seed": 7.0}', '{"seed": "7"}'):
             assert self.config_exit(tmp_path, capsys, text)[0] == 1
+
+    def test_negative_seed_in_document_rejected(self, tmp_path, capsys):
+        code, out, err = self.config_exit(tmp_path, capsys, '{"seed": -1}')
+        assert code == 1 and out == "" and err.startswith(SEED_ERROR)
 
     def test_float_key_takes_any_real_but_bool(self, tmp_path, capsys):
         code, out, _ = self.config_exit(tmp_path, capsys, '{"prior": {"sigma0": 2}}')

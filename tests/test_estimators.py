@@ -11,7 +11,6 @@ from scipy.stats import t as student_t
 from bnndep.estimators import (
     LOWER,
     UPPER,
-    bootstrap_std_error,
     conditional_exceedance,
     covariance,
     delta_grid,
@@ -32,6 +31,7 @@ from bnndep.sampling import (
     generate_input,
     sample_units,
 )
+from reference import bootstrap_std_error
 
 
 def make_batch(u, v, layer=2, prev_norms=None):

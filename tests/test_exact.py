@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +11,9 @@ from bnndep.exact import (
     enumerate_exact_delta,
     toy_relu_net,
 )
-from bnndep.network import RELU, TANH, NetworkConfig, PriorSpec, forward
+from bnndep.network import RELU, NetworkConfig, PriorSpec
 from bnndep.sampling import sample_layer, sample_units
+from reference import forward, rational_delta, rational_pre_pairs
 
 
 class TestEnumeration:
@@ -60,52 +61,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_exact_delta(spec, 2, (0, 1), 0.0, 0.0)
 
-    def test_asymmetric_support_rejected(self):
-        with pytest.raises(ValueError):
-            DiscreteNetSpec(widths=(1, 2), input=(1.0,), support_values=(-1.0, 2.0))
-
-    def test_weighted_support(self):
-        # support {-2, -1, 1, 2} with weights (1, 2, 2, 1) stays exact
-        spec = DiscreteNetSpec(
-            widths=(1, 2), input=(1.0,),
-            support_values=(-2.0, -1.0, 1.0, 2.0), support_weights=(1, 2, 2, 1),
-        )
-        val = enumerate_exact_delta(spec, 1, (0, 1), 0.0, 0.0)
-        assert val == 0  # first layer units are independent
-
     @pytest.mark.parametrize("spec", [
         {"input": (np.nan,)}, {"input": (np.inf,)}, {"input": (-np.inf,)},
-        {"support_values": (-np.inf, np.inf)}, {"support_values": (np.nan, np.nan)},
     ])
     def test_non_finite_input_or_support_rejected(self, spec):
-        # NaN input used to enumerate to an exact 0, an infinite support to 1/16
-        with pytest.raises(ValueError, match="input and support values must be finite"):
+        # NaN input used to enumerate to an exact 0
+        with pytest.raises(ValueError, match="input must be finite"):
             DiscreteNetSpec(**{"widths": (1, 1, 2), "input": (1.0,), **spec})
-
-    @pytest.mark.parametrize("weights", [(1, 0), (1.0, 1.0), (0.5, 0.5)])
-    def test_non_integer_or_non_positive_weights_rejected(self, weights):
-        with pytest.raises(ValueError):
-            DiscreteNetSpec(widths=(1, 2), input=(1.0,), support_weights=weights)
 
     @pytest.mark.parametrize("widths", [(1, 0, 2), (0, 1), (1, -1), (1, 2.0), (1, True)])
     def test_non_positive_or_non_integer_widths_rejected(self, widths):
         with pytest.raises(ValueError, match="widths must be positive integers"):
             DiscreteNetSpec(widths=widths, input=(1.0,))
-
-    @pytest.mark.parametrize("factor", [3, 10**6])
-    def test_common_weight_factor_cancels(self, factor):
-        base = DiscreteNetSpec(
-            widths=(1, 1, 2), input=(1.0,),
-            support_values=(-2.0, -1.0, 1.0, 2.0), support_weights=(1, 2, 2, 1),
-        )
-        scaled = dataclasses.replace(
-            base, support_weights=tuple(factor * w for w in base.support_weights))
-        for z1, z2 in ((0.0, 0.0), (1.5, -0.5), (-1.0, -1.0)):
-            assert (enumerate_exact_delta(scaled, 2, (0, 1), z1, z2)
-                    == enumerate_exact_delta(base, 2, (0, 1), z1, z2))
-        # unreduced, (2 * 10**7) ** 3 overflows int64; in lowest terms the weights are (1, 1)
-        toy = dataclasses.replace(toy_relu_net(), support_weights=(10**7, 10**7))
-        assert enumerate_exact_delta(toy, 2, (0, 1), 0.0, 0.0) == Fraction(1, 16)
 
     @pytest.mark.parametrize("z1,z2", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5)])
     def test_non_finite_threshold_rejected(self, z1, z2):
@@ -113,11 +80,59 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_exact_delta(toy_relu_net(), 2, (0, 1), z1, z2)
 
-    def test_irreducible_overflowing_weights_rejected(self):
-        # gcd 1 and (2 * 10**7 + 1) ** 3 >= 2 ** 63: int64 cannot hold the sums
-        toy = dataclasses.replace(toy_relu_net(), support_weights=(10**7, 10**7 + 1))
-        with pytest.raises(ValueError):
-            enumerate_exact_delta(toy, 2, (0, 1), 0.0, 0.0)
+
+# (widths, input): the toy net, then nets with non-dyadic inputs
+REFERENCE_SPECS = [
+    ((1, 1, 2), (1.0,)), ((1, 2, 2), (1.0,)),
+    ((2, 2, 2), (0.7, -1.3)), ((2, 2, 2), (0.1, 0.2)),
+    ((2, 3, 2), (0.7, -1.3)), ((2, 3, 2), (0.1, 0.2)),
+]
+REFERENCE_THRESHOLDS = [(0.0, 0.0), (0.3, 0.3), (1.0, 0.0), (-0.5, 0.25), (0.6, -1.0)]
+ITEM_13 = ("ROADMAP item 13: the oracle decides events on float64 pre-activations, "
+           "not on the exact values of its float input")
+# u = -(0.1 + 0.2) - 2 (0.2 - 0.1) is -5 x 0.1 exactly, just below -0.5, and -0.5 in float64
+FLOAT_ROUNDED = {((2, 3, 2), (0.1, 0.2), -0.5, 0.25, "upper")}
+
+
+def reference_cases():
+    for widths, input in REFERENCE_SPECS:
+        for z1, z2 in REFERENCE_THRESHOLDS:
+            for tail in ("upper", "lower"):
+                case = (widths, input, z1, z2, tail)
+                marks = pytest.mark.xfail(strict=True, reason=ITEM_13) \
+                    if case in FLOAT_ROUNDED else ()
+                name = "-".join(["x".join(map(str, widths)), "_".join(map(str, input)),
+                                 str(z1), str(z2), tail])
+                yield pytest.param(*case, marks=marks, id=name)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_pairs(widths, input):
+    return rational_pre_pairs(widths, input, 2, (0, 1))
+
+
+class TestRationalReference:
+    """The oracle against a pure-Python enumeration in ``Fraction`` arithmetic."""
+
+    @pytest.mark.parametrize("widths, input, z1, z2, tail", reference_cases())
+    def test_oracle_equals_reference(self, widths, input, z1, z2, tail):
+        spec = DiscreteNetSpec(widths=widths, input=input)
+        assert (enumerate_exact_delta(spec, 2, (0, 1), z1, z2, tail)
+                == rational_delta(reference_pairs(widths, input), z1, z2, tail))
+
+    @pytest.mark.parametrize("widths, input, z, expected", [
+        ((1, 1, 2), (1.0,), 0.0, Fraction(1, 16)),
+        # 1e16 + 1 reaches z = 1e16 and 1e16 - 1 does not: joint 1/16, marginals 1/8
+        ((2, 1, 2), (1e16, 1.0), 1e16, Fraction(3, 64)),
+    ])
+    def test_reference_hand_values(self, widths, input, z, expected):
+        assert rational_delta(reference_pairs(widths, input), z, z) == expected
+
+    @pytest.mark.xfail(strict=True, reason=ITEM_13)
+    def test_large_input_decided_exactly(self):
+        # 1e16 + 1 and 1e16 - 1 both round to 1e16, so the oracle reads 1/16
+        spec = DiscreteNetSpec(widths=(2, 1, 2), input=(1e16, 1.0))
+        assert enumerate_exact_delta(spec, 2, (0, 1), 1e16, 1e16) == Fraction(3, 64)
 
 
 class TestAnalyticDeltaZero:
@@ -194,10 +209,10 @@ def test_numpy_integer_draw_and_worker_counts_accepted():
 
 class TestDiscreteForward:
     def test_matches_network_forward_draw_by_draw(self):
-        spec = DiscreteNetSpec(widths=(3, 4, 2, 3), input=(0.5, -1.0, 2.0), activation=TANH)
+        spec = DiscreteNetSpec(widths=(3, 4, 2, 3), input=(0.5, -1.0, 2.0))
         rng = np.random.default_rng(7)
         for layer in (1, 2, 3):
-            cfg = NetworkConfig(spec.widths[: layer + 1], spec.activation)
+            cfg = NetworkConfig(spec.widths[: layer + 1], RELU)
             draws = rng.standard_normal((6, spec.weight_count(layer)))
             got = _last_pre(spec, draws, layer)
             for row, flat in zip(got, draws):

@@ -11,10 +11,10 @@ from bnndep.network import (
     NetworkConfig,
     PriorSpec,
     elu,
-    forward,
     uniform_config,
     validate_config,
 )
+from reference import forward
 
 
 class TestActivations:
@@ -127,6 +127,8 @@ class TestPriorSpec:
 
 
 class TestForward:
+    """The explicit-weight reference forward pass in ``tests/reference.py``."""
+
     def test_single_layer_identity_matvec(self):
         cfg = uniform_config(2, 1, 1, IDENTITY)
         w = np.array([[1.0], [1.0]])

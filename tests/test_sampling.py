@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import bnndep.sampling as sampling
-from bnndep.network import IDENTITY, RELU, TANH, PriorSpec, forward, uniform_config
+from bnndep.network import IDENTITY, RELU, TANH, PriorSpec, uniform_config
 from bnndep.sampling import (
     SampleBatch,
     SeedSpec,
@@ -11,8 +11,8 @@ from bnndep.sampling import (
     generate_input,
     sample_layer,
     sample_units,
-    sample_weight_matrix,
 )
+from reference import forward, sample_weight_matrix
 
 
 class TestGenerateInput:
@@ -84,6 +84,8 @@ class TestSeeds:
 
 
 class TestWeightMatrix:
+    """The explicit-weight reference sampler in ``tests/reference.py``."""
+
     def test_iid_variance(self):
         rng = SeedSpec(0).stream(50)
         w = sample_weight_matrix(PriorSpec(scale_mode="fixed", sigma0=1.0), 1, 10**5, rng)
@@ -285,7 +287,7 @@ KS_LEVEL = 1e-3 / KS_TESTS
 
 
 def explicit_draws(cfg, x, n, seed):
-    """Explicit-weight reference draws, one at a time through ``network.forward``.
+    """Explicit-weight reference draws, one at a time through ``reference.forward``.
 
     Columns: units 0 and 1 of the last layer at the pre tap, the same at the
     post tap, and the previous layer's norm (zero at depth 1).

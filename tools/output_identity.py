@@ -5,7 +5,8 @@ other side is this checkout's ``src`` as it stands, uncommitted edits
 included.  Each side runs the same command lines in fresh interpreters:
 every subcommand at each seed (sweeps with their CSV/SVG/JSON files, one-grid
 ``delta`` runs, ``concordance``, ``pd``, ``oracle``, ``selftest`` with its
-JSON report, ``print-config``), then once a bare ``print-config`` and every
+JSON report, ``print-config``), then once a bare ``print-config``, two
+``oracle enumerate`` runs on a 2-3-2 net with non-dyadic inputs, and every
 ``--help`` page.  At each seed ``delta``, ``concordance`` and ``pd`` also run
 from a ``--config`` document, which the tool writes into the run directory
 on both sides.  Each run's stdout, stderr, exit code and files land in one
@@ -84,6 +85,13 @@ def runs(seeds: list[int], n: int) -> list[tuple[str, list[str], dict | None]]:
                  doc) for sub in ("delta", "concordance", "pd")]
     # every default of the config document, with no flag or file over it
     out.append(("defaults/print_config", ["print-config"], None))
+    # a wider net with non-dyadic inputs, where pre-activations are rounded in float64
+    wide = ["oracle", "enumerate", "--net-widths", "2,3,2", "--exact"]
+    out.append(("oracle/enumerate_wide", [*wide, "--net-input", "0.1,0.2",
+                                          "--z1", "0.3", "--z2", "0.3"], None))
+    out.append(("oracle/enumerate_wide_lower", [*wide, "--net-input", "0.7,-1.3",
+                                                "--z1", "-0.6", "--z2", "0.5",
+                                                "--tail", "lower"], None))
     out.append(("help/bnndep", ["--help"], None))
     out += [(f"help/{sub}", [sub, "--help"], None) for sub in SUBCOMMANDS]
     return out
