@@ -296,7 +296,8 @@ def _enumeration_match() -> tuple[bool, dict]:
     {-0.5, 0, 0.5}, both tails, must match exactly.
     """
     toy, z = exact.toy_relu_net(), np.array([-0.5, 0.0, 0.5])
-    pre = np.concatenate(list(exact._configurations(toy, 2)))
+    k, chunks = exact._configurations(toy, 2)
+    pre = np.ldexp(np.concatenate(list(chunks)), -k)   # exact: the toy net is integral
     law = SampleBatch(pre[:, 0], pre[:, 1], 2, "pre", PriorSpec())
     mismatches = 0
     for tail in (est.UPPER, est.LOWER):

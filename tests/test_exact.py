@@ -81,34 +81,50 @@ class TestEnumeration:
             enumerate_exact_delta(toy_relu_net(), 2, (0, 1), z1, z2)
 
 
-# (widths, input): the toy net, then nets with non-dyadic inputs
+@functools.lru_cache(maxsize=None)
+def reference_pairs(widths, input):
+    return rational_pre_pairs(widths, input, 2, (0, 1))
+
+
+def random_specs(seed, count=6):
+    """Small (d, h, 2) nets, m <= 12 weights, with non-dyadic, large and mixed-scale inputs."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        d, h = [(1, 3), (2, 2), (2, 3), (3, 2)][rng.integers(4)]
+        if i % 3 == 0:      # non-dyadic
+            input = rng.uniform(-2.0, 2.0, d)
+        elif i % 3 == 1:    # large: float sums of these round
+            input = rng.integers(-2**60, 2**60, d).astype(float)
+        else:               # one value near 1e16 beside small integers, like (1e16, 1.0)
+            input = np.r_[rng.integers(2**53, 2**54), rng.integers(-3, 4, d - 1)].astype(float)
+        specs.append(((d, h, 2), tuple(input.tolist())))
+    return specs
+
+
+# (widths, input): the toy net, nets with non-dyadic inputs, one whose bound 2**62 fits
+# int64 (twice it is rejected below), a 1e300-scale one, then random ones
 REFERENCE_SPECS = [
     ((1, 1, 2), (1.0,)), ((1, 2, 2), (1.0,)),
     ((2, 2, 2), (0.7, -1.3)), ((2, 2, 2), (0.1, 0.2)),
     ((2, 3, 2), (0.7, -1.3)), ((2, 3, 2), (0.1, 0.2)),
+    ((2, 1, 2), (2.0**61, 1.0)), ((2, 2, 2), (1e300, -3e299)),
+    *random_specs(13),
 ]
 REFERENCE_THRESHOLDS = [(0.0, 0.0), (0.3, 0.3), (1.0, 0.0), (-0.5, 0.25), (0.6, -1.0)]
-ITEM_13 = ("ROADMAP item 13: the oracle decides events on float64 pre-activations, "
-           "not on the exact values of its float input")
-# u = -(0.1 + 0.2) - 2 (0.2 - 0.1) is -5 x 0.1 exactly, just below -0.5, and -0.5 in float64
-FLOAT_ROUNDED = {((2, 3, 2), (0.1, 0.2), -0.5, 0.25, "upper")}
 
 
 def reference_cases():
+    rng = np.random.default_rng(5)
     for widths, input in REFERENCE_SPECS:
-        for z1, z2 in REFERENCE_THRESHOLDS:
+        # thresholds at the float value of an attained pre-activation are where rounding bites
+        pairs = reference_pairs(widths, input)
+        attained = [tuple(float(x) for x in pairs[i]) for i in rng.integers(len(pairs), size=2)]
+        for z1, z2 in dict.fromkeys(REFERENCE_THRESHOLDS + attained):
             for tail in ("upper", "lower"):
-                case = (widths, input, z1, z2, tail)
-                marks = pytest.mark.xfail(strict=True, reason=ITEM_13) \
-                    if case in FLOAT_ROUNDED else ()
                 name = "-".join(["x".join(map(str, widths)), "_".join(map(str, input)),
                                  str(z1), str(z2), tail])
-                yield pytest.param(*case, marks=marks, id=name)
-
-
-@functools.lru_cache(maxsize=None)
-def reference_pairs(widths, input):
-    return rational_pre_pairs(widths, input, 2, (0, 1))
+                yield pytest.param(widths, input, z1, z2, tail, id=name)
 
 
 class TestRationalReference:
@@ -128,11 +144,21 @@ class TestRationalReference:
     def test_reference_hand_values(self, widths, input, z, expected):
         assert rational_delta(reference_pairs(widths, input), z, z) == expected
 
-    @pytest.mark.xfail(strict=True, reason=ITEM_13)
     def test_large_input_decided_exactly(self):
-        # 1e16 + 1 and 1e16 - 1 both round to 1e16, so the oracle reads 1/16
+        # 1e16 + 1 and 1e16 - 1 both round to 1e16, so float64 events read 1/16
         spec = DiscreteNetSpec(widths=(2, 1, 2), input=(1e16, 1.0))
         assert enumerate_exact_delta(spec, 2, (0, 1), 1e16, 1e16) == Fraction(3, 64)
+
+    @pytest.mark.parametrize("widths, input, layer", [
+        # |pre| <= max|x| times the fan-ins 2 x 1: 2**63 in units of 2**0
+        ((2, 1, 2), (2.0**62, 1.0), 2),
+        # 0.5 sets the unit to 2**-1, so 1e300 is an integer near 2**997 in it
+        ((2, 2, 2), (1e300, 0.5), 1),
+    ])
+    def test_overflowing_bound_rejected(self, widths, input, layer):
+        spec = DiscreteNetSpec(widths=widths, input=input)
+        with pytest.raises(ValueError, match="overflows int64"):
+            enumerate_exact_delta(spec, layer, (0, 1), 0.0, 0.0)
 
 
 class TestAnalyticDeltaZero:
@@ -214,7 +240,7 @@ class TestDiscreteForward:
         for layer in (1, 2, 3):
             cfg = NetworkConfig(spec.widths[: layer + 1], RELU)
             draws = rng.standard_normal((6, spec.weight_count(layer)))
-            got = _last_pre(spec, draws, layer)
+            got = _last_pre(spec.widths[: layer + 1], np.array(spec.input), draws)
             for row, flat in zip(got, draws):
                 shapes = list(zip(cfg.widths, cfg.widths[1:]))
                 parts = np.split(flat, np.cumsum([r * c for r, c in shapes])[:-1])
