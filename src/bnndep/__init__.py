@@ -50,6 +50,7 @@ from .sampling import (
     combine_copies,
     generate_input,
     sample_layer,
+    sample_taps,
     sample_units,
 )
 

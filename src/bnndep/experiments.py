@@ -1,10 +1,10 @@
 """Width/depth sweeps, grid summaries, and the acceptance suite.
 
 ``run_sweep`` reproduces the sampling protocol at configurable scale: one
-fixed Gaussian input, per-(depth, width) prior sampling of the last hidden
-layer's first two pre-activations, and an exceedance-difference grid per
-cell.  ``acceptance_suite`` executes every acceptance criterion and returns
-a machine-readable, byte-deterministic report.
+fixed Gaussian input, one prior draw per width at the greatest depth, tapped
+at every depth for the chosen unit pair, and an exceedance-difference grid
+per (depth, width) cell.  ``acceptance_suite`` executes every acceptance
+criterion and returns a machine-readable, byte-deterministic report.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .sampling import (
     combine_copies,
     generate_input,
     sample_layer,
+    sample_taps,
     sample_units,
 )
 
@@ -126,26 +127,30 @@ def summarize(grid: est.DeltaGrid) -> GridSummary:
 
 
 def run_sweep(spec: SweepSpec) -> dict[tuple[int, int], SweepCell]:
-    """Grid plus summary for every (depth, width) combination.
+    """Grid plus summary for every (depth, width) combination, depth-major.
 
-    Fully deterministic given the master seed; the input vector is drawn
-    once and shared by every cell, while weight streams are namespaced per
-    cell so cells are statistically independent.
+    Deterministic given the master seed.  One input vector serves every cell.
+    Each width is drawn once, at the greatest depth, and tapped at every
+    depth: cells of one width share their draws (common random numbers);
+    cells of different widths are independent.
     """
+    if not (spec.depths and spec.widths) or any(
+            len(set(v)) != len(v) for v in (spec.depths, spec.widths)):
+        raise ValueError(f"a sweep needs distinct depths and distinct widths, got "
+                         f"depths={list(spec.depths)}, widths={list(spec.widths)}")
     seed = SeedSpec(spec.master_seed)
     x = generate_input(spec.input_dim, seed)
     z = spec.grid.values()
-    out: dict[tuple[int, int], SweepCell] = {}
-    for li, depth in enumerate(spec.depths):
-        for hi, width in enumerate(spec.widths):
-            config = uniform_config(spec.input_dim, width, depth, spec.activation, spec.prior)
-            batch = sample_units(
-                config, x, depth, spec.unit_pair, spec.tap, spec.n,
-                seed.child(li, hi), workers=spec.workers,
-            )
-            grid = est.delta_grid(batch, z, z)
-            out[(depth, width)] = SweepCell(grid, summarize(grid))
-    return out
+    grids = {}
+    for hi, width in enumerate(spec.widths):
+        config = uniform_config(spec.input_dim, width, max(spec.depths), spec.activation,
+                                spec.prior)
+        # stream (0, hi) is the first listed depth's; the comprehension frees the batches
+        grids.update({(b.layer, width): est.delta_grid(b, z, z) for b in sample_taps(
+            config, x, tuple(sorted(spec.depths)), spec.unit_pair, spec.tap, spec.n,
+            seed.child(0, hi), workers=spec.workers)})
+    return {(d, w): SweepCell(grids[d, w], summarize(grids[d, w]))
+            for d in spec.depths for w in spec.widths}
 
 
 def mean_abs_std_error(grid: est.DeltaGrid) -> float:
@@ -325,11 +330,15 @@ def acceptance_suite(
     x = generate_input(input_dim, seed)
     z = GridRange().values()
 
-    def draw(label, width, depth, layer=None, count=n, act=RELU, prior=PriorSpec(),
-             norms=False) -> SampleBatch:
-        config = uniform_config(input_dim, width, depth, act, prior)
-        return sample_units(config, x, layer or depth, (0, 1), "pre", count,
-                            seed.child(*label), want_norms=norms, workers=workers)
+    def draw(label, width, depth, count=n, prior=PriorSpec(), norms=False) -> SampleBatch:
+        config = uniform_config(input_dim, width, depth, prior=prior)
+        return sample_units(config, x, depth, (0, 1), "pre", count, seed.child(*label),
+                            want_norms=norms, workers=workers)
+
+    def taps(label, layers, act=RELU, prior=PriorSpec()) -> list[SampleBatch]:
+        # criteria 5 and 6 tap one width-5 net, drawn once to the last layer
+        return sample_taps(uniform_config(input_dim, 5, layers[-1], act, prior), x, layers,
+                           (0, 1), "pre", n, seed.child(*label), workers=workers)
 
     def sweep(**kwargs) -> dict[tuple[int, int], SweepCell]:
         return run_sweep(SweepSpec(input_dim=input_dim, n=n, master_seed=master_seed,
@@ -366,17 +375,16 @@ def acceptance_suite(
         priors = {"iid": PriorSpec(),
                   "equicorrelated": PriorSpec(family="equicorrelated", rho=0.5)}
         for pi, (name, prior) in enumerate(priors.items()):
-            for layer in (1, 2, 3):
-                cov = est.covariance(draw((5, pi, layer), 5, 3, layer, prior=prior))
-                tests[f"{name}_layer{layer}"] = (_z(cov.value, cov.std_error), 2)
+            for batch in taps((5, pi), (1, 2, 3), prior=prior):
+                cov = est.covariance(batch)
+                tests[f"{name}_layer{batch.layer}"] = (_z(cov.value, cov.std_error), 2)
         return _family(tests)
 
     def zero_concordance():
         tests = {}
         for ai, act in enumerate((RELU, IDENTITY)):
-            for layer in (2, 3):
-                batch = draw((6, ai, layer), 5, 3, layer, act=act)
-                tests.update({f"{act.kind}_layer{layer}_{name}": test
+            for batch in taps((6, ai), (2, 3), act=act):
+                tests.update({f"{act.kind}_layer{batch.layer}_{name}": test
                               for name, test in _concordance_tests(batch).items()})
         return _family(tests)
 

@@ -141,8 +141,8 @@ def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
 
     ``unit_pair=None`` asks for the whole layer.
     """
-    if not 1 <= layer <= len(widths) - 1:
-        raise ValueError(f"layer {layer} out of range 1..{len(widths) - 1}")
+    if not (_integer(layer) and 1 <= layer <= len(widths) - 1):
+        raise ValueError(f"layer {layer!r} is not an integer in 1..{len(widths) - 1}")
     if unit_pair is not None:
         if np.shape(unit_pair) != (2,):
             raise ValueError(f"unit pair must name exactly two units, got {unit_pair}")
@@ -157,49 +157,51 @@ def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
 
 
 def _sample(
-    config: NetworkConfig, input: np.ndarray, layer: int, unit_pair, tap: str, n: int,
-    seed, replica: int, workers: int, want_norms: bool = False,
-) -> list[np.ndarray]:
-    """Checked block loop behind :func:`sample_layer` and :func:`sample_units`.
+    config: NetworkConfig, input: np.ndarray, layers: tuple[int, ...], unit_pair, tap: str,
+    n: int, seed, replica: int, workers: int, want_norms: bool = False,
+) -> list[list[np.ndarray]]:
+    """Checked block loop behind :func:`sample_layer` and :func:`sample_taps`.
 
-    With no ``unit_pair`` it returns the (n, H_layer) matrix; with one, an
-    (n,) vector per unit, and the full matrix is never stored.  The
-    previous-layer norms follow as a last (n,) vector when ``want_norms``.
+    One list per layer of the strictly increasing ``layers``: the (n, H_layer)
+    matrix with no ``unit_pair``, else an (n,) vector per unit (the full
+    matrix is never stored), then the previous-layer norms if ``want_norms``.
     """
     validate_config(config)
     # block k reads stream (STREAM_WEIGHTS, replica, k); the child checks the replica
     streams = _as_seed(seed).child(STREAM_WEIGHTS, replica)
     widths = config.widths
-    _check_query(widths, layer, unit_pair, tap)
+    if not layers or any(a >= b for a, b in zip(layers, layers[1:])):
+        raise ValueError(f"layers must be a non-empty, strictly increasing tuple, got {layers!r}")
+    for layer in layers:
+        _check_query(widths, layer, unit_pair, tap)
     if not (_integer(n) and _integer(workers) and n >= 0 and workers >= 1):
         raise ValueError(f"n must be an integer >= 0 and workers an integer >= 1, "
                          f"got n={n!r}, workers={workers!r}")
-    width = widths[layer]
-    if want_norms and layer < 2:
+    if want_norms and layers[0] < 2:
         raise ValueError("previous-layer norms require layer >= 2")
     x = np.asarray(input, dtype=np.float64)
     if x.shape != (widths[0],):
         raise ValueError(f"input shape {x.shape} != ({widths[0]},)")
     picks = [slice(None)] if unit_pair is None else list(unit_pair)
-    outs = [np.empty((n, width) if unit_pair is None else n) for _ in picks]
-    if want_norms:
-        outs.append(np.empty(n))
+    outs = {layer: [np.empty((n, widths[layer]) if unit_pair is None else n) for _ in picks]
+            + ([np.empty(n)] if want_norms else []) for layer in layers}
 
     def job(k: int, start: int, count: int) -> None:
         rng = streams.stream(k)
         h = x[None, :]
-        for prior, fan_in, units in zip(config.priors[:layer], widths, widths[1:]):
-            norm = np.sqrt(prior.scatter_quadratic(h, fan_in))
-            pre = rng.standard_normal((count, units))
+        for layer, prior in enumerate(config.priors[: layers[-1]], 1):
+            norm = np.sqrt(prior.scatter_quadratic(h, widths[layer - 1]))
+            pre = rng.standard_normal((count, widths[layer]))
             if prior.family == STUDENT_T:
                 pre *= np.sqrt(prior.nu / rng.chisquare(prior.nu, pre.shape))
             pre *= norm[:, None]
             h = config.activation(pre)
-        vals = pre if tap == "pre" else h
-        for out, pick in zip(outs, picks):
-            out[start : start + count] = vals[:, pick]
-        if want_norms:
-            outs[-1][start : start + count] = norm
+            if layer in outs:
+                vals = pre if tap == "pre" else h
+                for out, pick in zip(outs[layer], picks):
+                    out[start : start + count] = vals[:, pick]
+                if want_norms:
+                    outs[layer][-1][start : start + count] = norm
 
     tasks = [(k, start, min(_BLOCK, n - start)) for k, start in enumerate(range(0, n, _BLOCK))]
     if workers <= 1 or len(tasks) <= 1:
@@ -209,36 +211,37 @@ def _sample(
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
             # blocks write to disjoint output slices, so completion order is irrelevant
             list(ex.map(lambda t: job(*t), tasks))
-    return outs
+    return [outs[layer] for layer in layers]
 
 
 def sample_layer(
-    config: NetworkConfig,
-    input: np.ndarray,
-    layer: int,
-    n: int,
-    seed,
-    tap: str = "pre",
+    config: NetworkConfig, input: np.ndarray, layer: int, n: int, seed, tap: str = "pre",
     workers: int = 1,
 ) -> np.ndarray:
     """(n, H_layer) matrix of one layer's tapped values over n prior draws."""
-    return _sample(config, input, layer, None, tap, n, seed, 0, workers)[0]
+    return _sample(config, input, (layer,), None, tap, n, seed, 0, workers)[0][0]
 
 
 def sample_units(
-    config: NetworkConfig,
-    input: np.ndarray,
-    layer: int,
-    unit_pair: tuple[int, int],
-    tap: str = "pre",
-    n: int = 0,
-    seed=0,
-    want_norms: bool = False,
-    replica: int = 0,
+    config: NetworkConfig, input: np.ndarray, layer: int, unit_pair: tuple[int, int],
+    tap: str = "pre", n: int = 0, seed=0, want_norms: bool = False, replica: int = 0,
     workers: int = 1,
 ) -> SampleBatch:
     """n independent prior draws of two distinct units of one layer."""
-    u, v, *norms = _sample(config, input, layer, unit_pair, tap, n, seed, replica, workers,
-                           want_norms)
-    return SampleBatch(u, v, layer, tap, config.priors[layer - 1], *norms)
+    return sample_taps(config, input, (layer,), unit_pair, tap, n, seed, want_norms, replica,
+                       workers)[0]
 
+
+def sample_taps(
+    config: NetworkConfig, input: np.ndarray, layers: tuple[int, ...], unit_pair: tuple[int, int],
+    tap: str = "pre", n: int = 0, seed=0, want_norms: bool = False, replica: int = 0,
+    workers: int = 1,
+) -> list[SampleBatch]:
+    """One :func:`sample_units` batch per strictly increasing layer, all from one draw of the net.
+
+    Layer l never sees later layers, so its batch equals, bit for bit,
+    ``sample_units`` on the net cut after layer l with the same seed.
+    """
+    return [SampleBatch(u, v, layer, tap, config.priors[layer - 1], *norms)
+            for layer, (u, v, *norms) in zip(layers, _sample(
+                config, input, layers, unit_pair, tap, n, seed, replica, workers, want_norms))]

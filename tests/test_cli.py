@@ -421,6 +421,13 @@ class TestSweepCommand:
         assert "at least one value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_depths_or_widths_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["sweep", "--depths", "2,2", "--widths", "2,2", "--n", "200", "--out", str(out)]
+        assert main(args) == 1
+        assert "distinct depths and distinct widths" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--grid-steps", "1", "at least 2 steps"), ("--n", "1", "n >= 2")])
     def test_bad_grid_or_sample_size_leaves_no_directory(self, tmp_path, capsys, flag, value,

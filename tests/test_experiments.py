@@ -165,6 +165,31 @@ class TestRunSweep:
         assert cells[(2, 2)].summary.quadrant_sign_violations == 0
         assert cells[(2, 3)].summary.quadrant_sign_violations == 0
 
+    @pytest.mark.parametrize("depths", [(3,), (3, 2, 4)])
+    def test_each_width_is_one_draw_on_the_first_depths_stream(self, depths):
+        # the cells of width index hi are taps of one draw on stream (0, hi), the stream a
+        # separate draw of the first listed depth had, so those cells keep their bits
+        spec = SweepSpec(depths=depths, widths=(2, 3), input_dim=8, n=5000,
+                         grid=GridRange(-1.0, 1.0, 5), master_seed=13, workers=2)
+        cells = run_sweep(spec)
+        assert list(cells) == [(d, w) for d in depths for w in (2, 3)]
+        seed = SeedSpec(13)
+        x = generate_input(8, seed)
+        z = spec.grid.values()
+        for (depth, width), cell in cells.items():
+            batch = sample_units(uniform_config(8, width, depth), x, depth, (0, 1), "pre",
+                                 5000, seed.child(0, spec.widths.index(width)))
+            expected = delta_grid(batch, z, z)
+            assert np.array_equal(cell.grid.value, expected.value)
+            assert np.array_equal(cell.grid.std_error, expected.std_error)
+
+    @pytest.mark.parametrize("depths, widths", [((2, 2), (2,)), ((2,), (3, 2, 3)), ((), (2,))])
+    def test_repeated_or_missing_depths_and_widths_rejected_before_sampling(
+            self, monkeypatch, depths, widths):
+        monkeypatch.setattr(experiments, "sample_taps", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match="distinct depths and distinct widths"):
+            run_sweep(SweepSpec(depths=depths, widths=widths, n=200))
+
 
 class TestQuadrantViolations:
     def test_detects_significant_wrong_sign_only(self):

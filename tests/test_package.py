@@ -15,8 +15,8 @@ PUBLIC_NAMES = [
     "TANH", "acceptance_suite", "analytic_delta_zero", "brute_force_tau", "combine_copies",
     "conditional_exceedance", "covariance", "delta_grid", "delta_lower", "delta_upper",
     "elu", "enumerate_exact_delta", "generate_input", "kendall_tau", "pd_profile",
-    "rao_blackwell_delta", "run_sweep", "sample_layer", "sample_units", "spearman_rho",
-    "summarize", "toy_relu_net", "uniform_config", "validate_config",
+    "rao_blackwell_delta", "run_sweep", "sample_layer", "sample_taps", "sample_units",
+    "spearman_rho", "summarize", "toy_relu_net", "uniform_config", "validate_config",
 ]
 
 

@@ -10,6 +10,7 @@ from bnndep.sampling import (
     combine_copies,
     generate_input,
     sample_layer,
+    sample_taps,
     sample_units,
 )
 from reference import forward, sample_weight_matrix
@@ -270,6 +271,70 @@ class TestSampleLayer:
     def test_shape(self, small_setup):
         x, cfg = small_setup
         assert sample_layer(cfg, x, 1, 17, SeedSpec(2)).shape == (17, 3)
+
+
+TAP_PRIORS = {
+    "gaussian": PriorSpec(),
+    "equicorrelated": PriorSpec(family="equicorrelated", rho=0.3),
+    "student_t": PriorSpec(family="student_t", nu=3.0),
+}
+
+
+class TestSampleTaps:
+    @pytest.mark.parametrize("family", sorted(TAP_PRIORS))
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tap", ["pre", "post"])
+    @pytest.mark.parametrize("layers, norms, replica", [((1, 2, 4), False, 0),
+                                                        ((2, 3), True, 1)])
+    def test_each_tap_equals_a_separate_draw_of_its_depth(self, family, workers, tap, layers,
+                                                          norms, replica):
+        # 9000 draws span three blocks, so two workers split the blocks
+        x = generate_input(7, SeedSpec(80))
+        config = uniform_config(7, 3, 4, RELU, TAP_PRIORS[family])
+        taps = sample_taps(config, x, layers, (2, 0), tap, 9000, SeedSpec(81), norms, replica,
+                           workers)
+        assert [b.layer for b in taps] == list(layers)
+        for batch in taps:
+            solo = sample_units(uniform_config(7, 3, batch.layer, RELU, TAP_PRIORS[family]), x,
+                                batch.layer, (2, 0), tap, 9000, SeedSpec(81), norms, replica)
+            assert np.array_equal(batch.u, solo.u) and np.array_equal(batch.v, solo.v)
+            assert (batch.tap, batch.prior) == (solo.tap, solo.prior)
+            assert (batch.prev_norms is None if not norms
+                    else np.array_equal(batch.prev_norms, solo.prev_norms))
+
+    @pytest.mark.parametrize("layers", [(), (3, 2), (2, 2), (0, 2), (2, 5), (1.5, 3), (True,)])
+    def test_bad_layer_tuples_rejected(self, layers):
+        x = generate_input(7, SeedSpec(80))
+        with pytest.raises(ValueError, match="layer"):
+            sample_taps(uniform_config(7, 3, 4), x, layers, (0, 1), "pre", 10, SeedSpec(1))
+
+    def test_norms_with_layer_one_tapped_rejected(self):
+        x = generate_input(7, SeedSpec(80))
+        with pytest.raises(ValueError, match="layer >= 2"):
+            sample_taps(uniform_config(7, 3, 4), x, (1, 3), (0, 1), "pre", 10, SeedSpec(1),
+                        want_norms=True)
+
+
+# The scale test's bound in SEs, fixed in advance: its 12 two-sided cells
+# (3 widths, 4 taps) at this bound have a family-wise false-alarm chance of
+# about 7e-6.  A sampler whose scale is 10% off beyond layer 1 lies 10 or more
+# SEs out at n = 1e5.
+SCALE_BOUND = 5.0
+
+
+@pytest.mark.parametrize("width", [2, 5, 10])
+def test_second_moment_matches_the_exact_recursion(width):
+    # Gaussian i.i.d. ReLU with fan-in scaling: E[u_1^2] = sigma0^2 |x|^2 / d, and each
+    # later layer multiplies by sigma0^2 / 2, since E[relu(u)^2] = E[u^2] / 2
+    prior, d, n = PriorSpec(), 20, 100_000
+    x = generate_input(d, SeedSpec(90))
+    config = uniform_config(d, width, 4, RELU, prior)
+    for batch in sample_taps(config, x, (1, 2, 3, 4), (0, 1), "pre", n, SeedSpec(91),
+                             workers=2):
+        target = prior.sigma0**2 * float(x @ x) / d * (prior.sigma0**2 / 2) ** (batch.layer - 1)
+        w = (batch.u**2 + batch.v**2) / 2
+        score = (w.mean() - target) / (w.std(ddof=1) / np.sqrt(n))
+        assert abs(score) < SCALE_BOUND, (batch.layer, score)
 
 
 FAMILIES = {

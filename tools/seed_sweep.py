@@ -7,8 +7,11 @@ One line per seed names the criteria that failed or warned and gives the
 ``margin`` of every criterion that reports one: its worst score over its
 threshold, where 1.0 or more fails (see ``experiments._family``).
 
-The last line counts, per criterion, the seeds at which it failed.  Run from
-the repository root:
+Criterion 12, the soft depth trend, has no margin; its line entry ``c12=``
+is the smaller of its two successive peakedness ratios, which warns below 0.9.
+The closing lines count, per criterion, the seeds at which it failed, and give
+each criterion's closest margin over all seeds (the lowest ratio for
+criterion 12) with the seed where it happened.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/seed_sweep.py --n 20000 --seeds 1-30,301 --workers 2
 """
@@ -30,16 +33,26 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
     failures: Counter = Counter()
+    closest: dict = {}
     for s in seed_list(args.seeds):
         master = random.Random(f"selftest:{s}").randrange(1, 2**31)
         report = acceptance_suite(master_seed=master, n=args.n, workers=args.workers)
         failed = [r.cid for r in report.results if r.status == "fail"]
         warned = [r.cid for r in report.results if r.status == "warn"]
         failures.update(failed)
-        margins = " ".join(f"c{r.cid}={r.details['margin']:.3f}"
-                           for r in report.results if "margin" in r.details)
+        readings = {r.cid: r.details["margin"] for r in report.results if "margin" in r.details}
+        peaks = next(r.details["peakedness"] for r in report.results if r.cid == 12)
+        readings[12] = min(peaks["3"] / peaks["2"], peaks["4"] / peaks["3"])
+        for cid, value in readings.items():
+            # the closest reading is the largest margin, or criterion 12's smallest ratio
+            best = closest.get(cid, (value, s))[0]
+            if value >= best if cid != 12 else value <= best:
+                closest[cid] = (value, s)
+        margins = " ".join(f"c{cid}={value:.3f}" for cid, value in sorted(readings.items()))
         print(f"s={s} master={master} fail={failed} warn={warned} {margins}", flush=True)
     print("failures per criterion:", dict(sorted(failures.items())) or "none")
+    print("closest per criterion:", " ".join(
+        f"c{cid}={value:.3f}@s{s}" for cid, (value, s) in sorted(closest.items())))
 
 
 if __name__ == "__main__":
