@@ -8,6 +8,7 @@ real probability mass, so the choice is semantically load-bearing.
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
@@ -19,6 +20,7 @@ from .sampling import SampleBatch
 
 UPPER = "upper"
 LOWER = "lower"
+_PAIR_MIN = 1 << 16     # samples from which an estimator's two per-unit passes run side by side
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,15 @@ def _sample_count(what: str, *samples: np.ndarray, finite: tuple = ()) -> int:
     if not _finite(*samples, *finite):
         raise ValueError(f"{what} needs finite values")
     return n
+
+
+def _pair(f: Callable, a, b, n: int) -> tuple:
+    """(f(a), f(b)), the serial bits; from n = _PAIR_MIN up f(b) runs on a helper thread."""
+    if n < _PAIR_MIN:
+        return f(a), f(b)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        fb = pool.submit(f, b)
+        return f(a), fb.result()
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +174,7 @@ def delta_grid(
     # bin each sample by the thresholds below it (at or below it for the upper
     # tail); prefix sums then count u <= z1[a] (lower) or u < z1[a] (upper)
     side = "left" if tail == LOWER else "right"
-    ai = np.searchsorted(z1, u, side=side)
-    bi = np.searchsorted(z2, v, side=side)
+    ai, bi = _pair(lambda zx: np.searchsorted(*zx, side=side), (z1, u), (z2, v), n)
     hist = np.bincount(ai * (g2 + 1) + bi, minlength=(g1 + 1) * (g2 + 1))
     pre = hist.reshape(g1 + 1, g2 + 1).cumsum(axis=0).cumsum(axis=1)
     c11, c1, c2 = pre[:g1, :g2], pre[:g1, g2], pre[g1, :g2]
@@ -185,8 +195,8 @@ def delta_grid(
 
 def _cov_with_se(x: np.ndarray, y: np.ndarray, n: int) -> EstimateWithError:
     """Covariance of n checked pairs (see :func:`_sample_count`); x and y are not written."""
-    prod = x - x.mean()
-    prod *= y - y.mean()
+    prod, yc = _pair(lambda a: a - a.mean(), x, y, n)
+    prod *= yc
     value = prod.sum() / (n - 1)
     prod -= prod.mean()                 # the influence values psi
     prod -= prod.mean()                 # psi.std(ddof=1), in ndarray.std's operation order
@@ -205,8 +215,9 @@ def covariance(batch: SampleBatch) -> EstimateWithError:
 # Concordance: Kendall's tau (tau-a) and Spearman's rho
 # ---------------------------------------------------------------------------
 
-def _strict_inversions(a: np.ndarray) -> int:
-    """Number of pairs i < j with a[i] > a[j], for integer ranks 0 <= a < n.
+def _strict_inversions(arr: np.ndarray, width: int = 1) -> int:
+    """Number of pairs i < j with arr[i] > arr[j], for integers arr >= 0 of a power-of-two
+    length whose blocks of ``width`` are each sorted.  arr ends sorted.
 
     Bottom-up merge sort: each level tags every value with its half in the
     low bit (0 left, 1 right), so one sort along the rows merges all block
@@ -214,16 +225,10 @@ def _strict_inversions(a: np.ndarray) -> int:
     right element j (from 0) at merged position p has w - (p - j) left
     elements behind it: summed, nb w (3w - 1) / 2 less the p, which are the
     tagged flat positions less the nb (nb - 1) w^2 of the block starts.
-    Padding with n, above every rank, adds no inversions.
     """
-    n = a.shape[0]
-    size = 1 << (n - 1).bit_length()
-    arr = np.full(size, n, dtype=a.dtype)
-    arr[:n] = a
-    flat_pos = np.arange(size)
+    flat_pos = np.arange(arr.shape[0])
     total = 0
-    width = 1
-    while width < size:
+    while width < arr.shape[0]:
         blocks = arr.reshape(-1, 2 * width)
         blocks <<= 1
         blocks[:, width:] |= 1
@@ -236,33 +241,26 @@ def _strict_inversions(a: np.ndarray) -> int:
     return total
 
 
-def _run_edges(xs: np.ndarray) -> np.ndarray:
-    """0, the start of every later run of equal values, then n; xs sorted."""
-    return np.concatenate(([0], np.flatnonzero(xs[1:] != xs[:-1]) + 1, [xs.shape[0]]))
+def _run_starts(xs: np.ndarray) -> np.ndarray:
+    """True at 0, at the start of every later run of equal values in sorted xs, and at n."""
+    return np.concatenate(([True], xs[1:] != xs[:-1], [True]))
 
 
 def _tie_pair_count(runs: np.ndarray) -> int:
     """Sum of C(run, 2) over the run lengths: the number of tied pairs."""
-    return int((runs * (runs - 1) // 2).sum())
+    return int(runs @ runs - runs.sum()) // 2
 
 
-def _mid_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing their mean; scipy.stats.rankdata(x, "average") bit for bit."""
-    # every member of a run gets the run's rank, so the order within a run is free
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 0-based ranks and run edges of x; ties share a rank, so argsort need not be stable."""
     order = np.argsort(x)
-    edges = _run_edges(x[order])
-    ranks = np.empty(x.shape[0])
-    ranks[order] = np.repeat(0.5 * (edges[:-1] + edges[1:] + 1), np.diff(edges))
-    return ranks
-
-
-def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """0-based int64 ranks, ties sharing one, and the number of pairs tied in x."""
-    order = np.argsort(x)
-    runs = np.diff(_run_edges(x[order]))
-    ranks = np.empty(x.shape[0], dtype=np.int64)
-    ranks[order] = np.repeat(np.arange(runs.shape[0]), runs)
-    return ranks, _tie_pair_count(runs)
+    starts = _run_starts(x[order])
+    work = np.cumsum(starts[:-1], dtype=np.int64)
+    work -= 1
+    ranks = np.empty_like(work)
+    ranks[order] = work
+    del order, work
+    return ranks, np.flatnonzero(starts)
 
 
 def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
@@ -279,13 +277,16 @@ def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     if u.size > 3_037_000_499:          # isqrt(2**63 - 1): keys up to n * n - 1 fit int64
         raise ValueError("concordance estimation needs n <= 3037000499")
     n = _sample_count("concordance estimation", u, v)
-    ru, tied_u = _dense_ranks(u)
-    rv, tied_v = _dense_ranks(v)
+    (ru, tied_u), (rv, tied_v) = ((ranks, _tie_pair_count(np.diff(edges)))
+                                  for ranks, edges in _pair(_ranks, u, v, n))
     key = np.sort(ru * n + rv)
     del ru, rv
-    tied_both = _tie_pair_count(np.diff(_run_edges(key)))
-    key %= n                            # v's ranks, in (u, v) order
-    discordant = _strict_inversions(key)
+    tied_both = _tie_pair_count(np.diff(np.flatnonzero(_run_starts(key))))
+    # v's ranks in (u, v) order, padded to a power of two with n: above every rank, no inversions
+    key = np.concatenate((key % n, np.full((1 << (n - 1).bit_length()) - n, n)))
+    # from _PAIR_MIN up the two halves are merged side by side, then together; below, key is one
+    h = key.shape[0] // (2 if n >= _PAIR_MIN else 1)
+    discordant = sum(_pair(_strict_inversions, key[:h], key[h:], n)) + _strict_inversions(key, h)
     n0 = n * (n - 1) // 2
     tau = (n0 - tied_u - tied_v + tied_both - 2 * discordant) / n0
     se = np.sqrt(2.0 * (2 * n + 5) / (9.0 * n * (n - 1)))
@@ -300,9 +301,18 @@ def spearman_rho_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     """Pearson correlation of mid-ranks; SE under the independence null."""
     u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
     n = _sample_count("concordance estimation", u, v)
-    ra, rb = _mid_ranks(u), _mid_ranks(v)
-    ac = ra - ra.mean()
-    bc = rb - rb.mean()
+
+    def mid_ranks(x):                   # scipy.stats.rankdata(x, "average") bit for bit
+        ranks, edges = _ranks(x)
+        mid = edges[1:] + 1
+        mid += edges[:-1]
+        del edges
+        mid = 0.5 * mid                 # each run's mean 1-based position
+        return mid[ranks]
+
+    ac, bc = _pair(mid_ranks, u, v, n)
+    ac -= ac.mean()
+    bc -= bc.mean()
     denom = np.sqrt((ac @ ac) * (bc @ bc))
     if denom == 0.0:
         raise ValueError("rank correlation undefined for constant data")
@@ -367,7 +377,7 @@ def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWit
     n = _sample_count("covariance estimation", y, finite=(z1, z2))
     if np.any(y < 0):
         raise ValueError("the conditioning norm must be non-negative")
-    return _cov_with_se(_norm_survival(batch.prior, z1, y), _norm_survival(batch.prior, z2, y), n)
+    return _cov_with_se(*_pair(lambda z: _norm_survival(batch.prior, z, y), z1, z2, n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def brute_force_tau(u: np.ndarray, v: np.ndarray) -> float:
     before the block's last run end need a per-row mask.  The numerator and
     denominator are the merge-based estimator's integers, so results agree
     bitwise.  The one dependency shared with that estimator is numpy's sort:
-    no code of ``_dense_ranks``, ``_strict_inversions`` or the pair key.
+    no code of ``_ranks``, ``_strict_inversions`` or the pair key.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -13,7 +13,7 @@ from scipy.stats import rankdata
 import bnndep
 from bnndep import estimators
 from bnndep.estimators import (
-    _mid_ranks,
+    _ranks,
     kendall_tau,
     kendall_tau_arrays,
     spearman_rho,
@@ -127,7 +127,10 @@ class TestMidRanks:
         zeros[::4] = 0.0
         for batch in [*tied_batches(), (zeros,)]:
             for x in batch:
-                assert _mid_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+                ranks, edges = _ranks(x)
+                mid = (0.5 * (edges[:-1] + edges[1:] + 1))[ranks]
+                assert mid.tobytes() == rankdata(x, method="average").tobytes()
+                assert np.array_equal(ranks, rankdata(x, method="dense") - 1)
 
     def test_spearman_keeps_its_bits(self):
         checked = 0
@@ -331,6 +334,27 @@ serial = sample_units(cfg, x, 2, (0, 1), "post", 4 * 4096, 5, workers=1)
 print(all(a.tobytes() == b.tobytes() for a, b in ((threaded.u, serial.u), (threaded.v, serial.v))))
 """
 
+FIRST_RAO_BLACKWELL_IN_THREADS = """
+import sys
+import numpy as np
+from bnndep import estimators
+from bnndep.network import PriorSpec
+from bnndep.sampling import SampleBatch
+
+n = estimators._PAIR_MIN
+y = np.abs(np.random.default_rng(5).standard_normal(n))
+y[::7] = 0.0
+batch = SampleBatch(np.zeros(n), np.zeros(n), 2, "pre", PriorSpec(), y)
+assert "scipy.special" not in sys.modules
+# at n = _PAIR_MIN both survival passes, and so both first imports, run side by side
+threaded = estimators.rao_blackwell_delta(batch, 0.5, -0.25)
+assert "scipy.special" in sys.modules
+estimators._PAIR_MIN = n + 1
+serial = estimators.rao_blackwell_delta(batch, 0.5, -0.25)
+print(threaded.value.hex() == serial.value.hex() and
+      threaded.std_error.hex() == serial.std_error.hex())
+"""
+
 
 class TestScipyLoadsOnFirstUse:
     def test_import_and_scipy_free_commands_load_no_scipy(self, tmp_path):
@@ -342,3 +366,6 @@ class TestScipyLoadsOnFirstUse:
 
     def test_first_sigmoid_draw_in_worker_threads_matches_serial_draw(self):
         assert fresh_python(FIRST_SIGMOID_IN_THREADS).strip() == "True"
+
+    def test_first_rao_blackwell_call_in_two_threads_matches_serial_call(self):
+        assert fresh_python(FIRST_RAO_BLACKWELL_IN_THREADS).strip() == "True"

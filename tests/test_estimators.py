@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -8,18 +10,22 @@ from hypothesis import strategies as st
 from scipy.special import erfc, ndtr, stdtr
 from scipy.stats import t as student_t
 
+from bnndep import estimators
 from bnndep.estimators import (
     LOWER,
     UPPER,
+    _pair,
     conditional_exceedance,
     covariance,
     delta_grid,
     delta_lower,
     delta_upper,
     kendall_tau,
+    kendall_tau_arrays,
     pd_profile,
     rao_blackwell_delta,
     spearman_rho,
+    spearman_rho_arrays,
 )
 from bnndep.network import PriorSpec, uniform_config
 from bnndep.sampling import (
@@ -587,3 +593,96 @@ class TestDeltaGrid:
             grid = delta_grid(combine_copies(first, second, mode), z, z)
             e = delta_upper(combine_copies(first, second, mode), 0.0, 0.5)
             assert grid.value[1, 2] == e.value
+
+
+class CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """The estimators' thread pool, counting the passes handed to a helper thread."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        CountingPool.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def bits(result):
+    """Every float an estimator returns, as bytes, so that equal means bitwise equal."""
+    if isinstance(result, estimators.DeltaGrid):
+        return b"".join(a.tobytes() for a in (result.value, result.std_error,
+                                              result.null_std_error))
+    return np.float64(result.value).tobytes() + np.float64(result.std_error).tobytes()
+
+
+def post_tap_batch(n, seed=51):
+    """ReLU-tapped pair, about half of each unit tied at exactly 0, with norms holding zeros."""
+    rng = np.random.default_rng(seed)
+    u, v = np.maximum(rng.standard_normal((2, n)), 0.0)
+    y = np.abs(rng.standard_normal(n))
+    y[::7] = 0.0                        # dead previous layers
+    return SampleBatch(u, v, 2, "post", PriorSpec(), y)
+
+
+def side_by_side_cases(n):
+    """(label, call) for every estimator that pairs its passes, on samples of size n."""
+    post = post_tap_batch(n)
+    rng = np.random.default_rng(n)
+    u, v = rng.standard_normal((2, n))
+    z = np.linspace(-1.0, 1.0, 9)       # 0.0 is a grid value: the ReLU atom sits on it
+    cases = [(f"grid_{tail}", lambda tail=tail: delta_grid(post, z, z, tail))
+             for tail in (UPPER, LOWER)]
+    cases.append(("covariance", lambda: covariance(post)))
+    for name, estimate in (("tau", kendall_tau_arrays), ("rho", spearman_rho_arrays)):
+        cases.append((f"{name}_untied", lambda e=estimate: e(u, v)))
+        cases.append((f"{name}_tied", lambda e=estimate: e(post.u, post.v)))
+    for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.5)):
+        pre = SampleBatch(u, v, 2, "pre", prior, post.prev_norms)
+        for z1, z2 in ((0.0, 0.0), (0.0, 0.75), (-0.5, 1.25)):
+            cases.append((f"rb_{prior.family}_{z1}_{z2}",
+                          lambda b=pre, z1=z1, z2=z2: rao_blackwell_delta(b, z1, z2)))
+    return cases
+
+
+def run_cases(monkeypatch, n, pair_min):
+    """Each case's bits, and whether it gave a pass to a helper thread, at _PAIR_MIN = pair_min."""
+    monkeypatch.setattr(estimators, "_PAIR_MIN", pair_min)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    out, threaded = {}, {}
+    for label, call in side_by_side_cases(n):
+        CountingPool.submitted = 0
+        out[label] = bits(call())
+        threaded[label] = CountingPool.submitted > 0
+    return out, threaded
+
+
+class TestSideBySidePasses:
+    @pytest.mark.parametrize("n", [17, 1000])
+    def test_threaded_equals_serial_bitwise(self, monkeypatch, n):
+        serial, threaded = run_cases(monkeypatch, n, n + 1)
+        assert not any(threaded.values())
+        got, threaded = run_cases(monkeypatch, n, n)
+        assert all(threaded.values())
+        assert got == serial
+
+    @pytest.mark.parametrize("offset, threaded", [(-1, False), (0, True)])
+    def test_size_constant_is_where_threading_starts(self, monkeypatch, offset, threaded):
+        n = estimators._PAIR_MIN + offset
+        got, was_threaded = run_cases(monkeypatch, n, estimators._PAIR_MIN)
+        assert set(was_threaded.values()) == {threaded}
+        serial, _ = run_cases(monkeypatch, n, n + 1)
+        assert got == serial
+
+    @pytest.mark.parametrize("raising", ["a", "b"])
+    def test_a_raising_pass_reaches_the_caller_and_joins_its_thread(self, monkeypatch, raising):
+        # "b" is the helper thread's pass, "a" the caller's
+        def f(x):
+            if x == raising:
+                raise KeyError(x)
+            return x
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        CountingPool.submitted = 0
+        before = threading.active_count()
+        with pytest.raises(KeyError, match=raising):
+            _pair(f, "a", "b", estimators._PAIR_MIN)
+        assert CountingPool.submitted == 1
+        assert threading.active_count() == before
