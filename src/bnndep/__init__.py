@@ -42,7 +42,6 @@ from .network import (
     PriorSpec,
     elu,
     uniform_config,
-    validate_config,
 )
 from .sampling import (
     SampleBatch,

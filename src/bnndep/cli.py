@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators as est
-from . import exact
+from . import exact, network
 from .experiments import GridRange, SweepSpec, acceptance_suite, run_sweep, summarize
 from .gridio import _check_color_limit, render_heatmap, write_grid_csv
 from .network import Activation, ConfigError, NetworkConfig, PriorSpec, uniform_config
-from .sampling import SeedSpec, combine_copies, generate_input, sample_layer, sample_units
+from .sampling import TAPS, SeedSpec, combine_copies, generate_input, sample_layer, sample_units
 
 
 class UsageError(ValueError):
@@ -98,13 +98,12 @@ _COMMON_FLAGS = (
     ("--grid-hi", "grid.hi", 1.0, None, {"type": float}),
     ("--activation", "activation.kind", "relu", None, {"choices": Activation.KINDS}),
     ("--elu-alpha", "activation.alpha", 1.0, None, {"type": float}),
-    ("--prior-family", "prior.family", "gaussian", None,
-     {"choices": ("gaussian", "equicorrelated", "student_t")}),
-    ("--scale-mode", "prior.scale_mode", "fan_in", None, {"choices": ("fan_in", "fixed")}),
+    ("--prior-family", "prior.family", "gaussian", None, {"choices": network._FAMILIES}),
+    ("--scale-mode", "prior.scale_mode", "fan_in", None, {"choices": network._SCALE_MODES}),
     ("--sigma0", "prior.sigma0", 1.0, None, {"type": float}),
     ("--rho", "prior.rho", 0.0, None, {"type": float}),
     ("--nu", "prior.nu", None, None, {"type": float}),
-    ("--tap", "tap", "pre", None, {"choices": ("pre", "post")}),
+    ("--tap", "tap", "pre", None, {"choices": TAPS}),
     ("--units", "units", [0, 1], _csv_ints, {"help": "comma-separated pair of unit indices"}),
     ("--workers", "workers", 1, None, {"type": int}),
     ("--out", "out_dir", "out", None, {"dest": "out_dir"}),
@@ -208,10 +207,11 @@ def _single_net(args) -> tuple[dict, SweepSpec, tuple[NetworkConfig, np.ndarray,
 def cmd_delta(args) -> int:
     doc, spec, net = _single_net(args)
     z = spec.grid.values()
-    draw = (*net, spec.unit_pair, spec.tap, spec.n, spec.master_seed)
-    batch = sample_units(*draw, workers=spec.workers)
+    seed, draw = SeedSpec(spec.master_seed), (*net, spec.unit_pair, spec.tap, spec.n)
+    batch = sample_units(*draw, seed, workers=spec.workers)
     if args.combo != "single":
-        second = sample_units(*draw, replica=1, workers=spec.workers)
+        # the second, independent copy of the networks is drawn on the child seed (1,)
+        second = sample_units(*draw, seed.child(1), workers=spec.workers)
         batch = combine_copies(batch, second, args.combo)
     grid = est.delta_grid(batch, z, z, tail=args.tail)
     out_dir = Path(doc["out_dir"])

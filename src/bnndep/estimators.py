@@ -175,7 +175,11 @@ def delta_grid(
     # tail); prefix sums then count u <= z1[a] (lower) or u < z1[a] (upper)
     side = "left" if tail == LOWER else "right"
     ai, bi = _pair(lambda zx: np.searchsorted(*zx, side=side), (z1, u), (z2, v), n)
-    hist = np.bincount(ai * (g2 + 1) + bi, minlength=(g1 + 1) * (g2 + 1))
+    # the flat bin index, built in place so no n-length temporary joins ai and bi
+    ai *= g2 + 1
+    ai += bi
+    del bi
+    hist = np.bincount(ai, minlength=(g1 + 1) * (g2 + 1))
     pre = hist.reshape(g1 + 1, g2 + 1).cumsum(axis=0).cumsum(axis=1)
     c11, c1, c2 = pre[:g1, :g2], pre[:g1, g2], pre[g1, :g2]
     if tail == UPPER:

@@ -26,7 +26,6 @@ from .sampling import (
     generate_input,
     sample_layer,
     sample_taps,
-    sample_units,
 )
 
 _EPS = 1e-12
@@ -330,32 +329,27 @@ def acceptance_suite(
     x = generate_input(input_dim, seed)
     z = GridRange().values()
 
-    def draw(label, width, depth, count=n, prior=PriorSpec(), norms=False) -> SampleBatch:
-        config = uniform_config(input_dim, width, depth, prior=prior)
-        return sample_units(config, x, depth, (0, 1), "pre", count, seed.child(*label),
-                            want_norms=norms, workers=workers)
+    def taps(label, width, layers, count=n, act=RELU, prior=PriorSpec(), norms=False,
+             workers=workers) -> list[SampleBatch]:
+        """Units (0, 1) at the pre tap of ``layers``, from one draw on ``seed.child(*label)``."""
+        return sample_taps(uniform_config(input_dim, width, layers[-1], act, prior), x, layers,
+                           (0, 1), "pre", count, seed.child(*label), want_norms=norms,
+                           workers=workers)
 
-    def taps(label, layers, act=RELU, prior=PriorSpec()) -> list[SampleBatch]:
-        # criteria 5 and 6 tap one width-5 net, drawn once to the last layer
-        return sample_taps(uniform_config(input_dim, 5, layers[-1], act, prior), x, layers,
-                           (0, 1), "pre", n, seed.child(*label), workers=workers)
-
-    def sweep(**kwargs) -> dict[tuple[int, int], SweepCell]:
-        return run_sweep(SweepSpec(input_dim=input_dim, n=n, master_seed=master_seed,
-                                   workers=workers, **kwargs))
-
-    base = sweep()
+    # one sweep, drawn on streams (0, hi), serves criteria 1, 2, 11 and 12
+    base = run_sweep(SweepSpec(depths=(1, 2, 3, 4), input_dim=input_dim, n=n,
+                               master_seed=master_seed, workers=workers))
 
     def sign_structure():
-        cells = {f"L{d}H{h}": cell for (d, h), cell in base.items()}
+        cells = {f"L{d}H{h}": cell for (d, h), cell in base.items() if d >= 2}
         # the uncorrected 3-SE counts are reported alongside
         counts = {k: c.summary.quadrant_sign_violations for k, c in cells.items()}
         return _family({k: (_sign_scores(c.grid), 1) for k, c in cells.items()}, violations=counts)
 
     def first_layer_null():
         tests = {f"L1H{h}": (_z(cell.grid.value, cell.grid.std_error), 2)
-                 for (_, h), cell in sweep(depths=(1,)).items()}
-        batch = draw((2,), 5, 1)
+                 for (d, h), cell in base.items() if d == 1}
+        batch = taps((2,), 5, (1,))[0]
         # layer-1 units are independent, so the estimators' null SEs hold here
         for name, e in (("tau", est.kendall_tau(batch)), ("rho", est.spearman_rho(batch))):
             tests[name] = (_z(e.value, e.std_error), 2)
@@ -364,8 +358,8 @@ def acceptance_suite(
     def origin(sigma0: float, label: int) -> dict:
         tests = {}
         for h in (2, 5, 10):
-            batch = draw((label, h), h, 2, count=10 * n if h == 10 else n,
-                         prior=PriorSpec(sigma0=sigma0))
+            batch = taps((label, h), h, (2,), count=10 * n if h == 10 else n,
+                         prior=PriorSpec(sigma0=sigma0))[0]
             e, target = est.delta_upper(batch, 0.0, 0.0), float(exact.analytic_delta_zero(h))
             tests[f"H{h}"] = (_z(e.value - target, e.std_error), 2)
         return tests
@@ -375,7 +369,7 @@ def acceptance_suite(
         priors = {"iid": PriorSpec(),
                   "equicorrelated": PriorSpec(family="equicorrelated", rho=0.5)}
         for pi, (name, prior) in enumerate(priors.items()):
-            for batch in taps((5, pi), (1, 2, 3), prior=prior):
+            for batch in taps((5, pi), 5, (1, 2, 3), prior=prior):
                 cov = est.covariance(batch)
                 tests[f"{name}_layer{batch.layer}"] = (_z(cov.value, cov.std_error), 2)
         return _family(tests)
@@ -383,15 +377,14 @@ def acceptance_suite(
     def zero_concordance():
         tests = {}
         for ai, act in enumerate((RELU, IDENTITY)):
-            for batch in taps((6, ai), (2, 3), act=act):
+            for batch in taps((6, ai), 5, (2, 3), act=act):
                 tests.update({f"{act.kind}_layer{batch.layer}_{name}": test
                               for name, test in _concordance_tests(batch).items()})
         return _family(tests)
 
     def copy_signs():
-        config = uniform_config(input_dim, 2, 2)
-        copies = [sample_units(config, x, 2, (0, 1), "pre", n, seed.child(7), replica=r,
-                               workers=workers) for r in (0, 1)]
+        # the second, independent copy is drawn on the child seed (7, 1)
+        copies = [taps(label, 2, (2,))[0] for label in ((7,), (7, 1))]
         center = int(np.argmin(np.abs(z)))
         tests = {}
         for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
@@ -403,11 +396,11 @@ def acceptance_suite(
 
     def rao_blackwell():
         points = [(z1, z2) for z1 in (-0.5, 0.0, 0.5) for z2 in (-0.5, 0.0, 0.5)]
-        tests = {f"H{h}": (_rb_scores(draw((9, h), h, 2, norms=True), points), 2)
+        tests = {f"H{h}": (_rb_scores(taps((9, h), h, (2,), norms=True)[0], points), 2)
                  for h in (2, 5)}
         rb_n, rb_vals, ind_vals = max(2000, n // 5), [], []
         for rep in range(RB_SEEDS):
-            batch = draw((9, 0, rep), 2, 2, count=rb_n, norms=True)
+            batch = taps((9, 0, rep), 2, (2,), count=rb_n, norms=True)[0]
             rb_vals.append(est.rao_blackwell_delta(batch, 0.0, 0.0).value)
             ind_vals.append(est.delta_upper(batch, 0.0, 0.0).value)
         var_rb, var_ind = float(np.var(rb_vals, ddof=1)), float(np.var(ind_vals, ddof=1))
@@ -418,7 +411,7 @@ def acceptance_suite(
         return ok and var_rb <= var_ind, det
 
     def brute_force_match():
-        rng = np.random.default_rng(master_seed)
+        rng = seed.stream(10)
         mismatches = 0
         size_cap = min(2000, max(2, n))
         for case in range(200):
@@ -450,10 +443,9 @@ def acceptance_suite(
                                                 workers=workers) for layer in (2, 1))))
 
     def determinism():
-        config, zs = uniform_config(input_dim, 2, 2), np.linspace(-1.0, 1.0, 9)
-        outputs = []
+        zs, outputs = np.linspace(-1.0, 1.0, 9), []
         for w in (1, 2):
-            batch = sample_units(config, x, 2, (0, 1), "pre", 4000, seed.child(14), workers=w)
+            batch = taps((14,), 2, (2,), count=4000, workers=w)[0]
             grid = est.delta_grid(batch, zs, zs)
             outputs.append({
                 "samples": batch.u.tobytes() + batch.v.tobytes(),

@@ -8,7 +8,7 @@ layer's output, then applies the activation elementwise.  All arithmetic is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -169,12 +169,25 @@ class NetworkConfig:
     """Widths H_0..H_L, one activation, and one prior per hidden layer.
 
     ``widths[0]`` is the input dimension; the weight matrix feeding layer
-    ``l`` has shape (widths[l-1], widths[l]).
+    ``l`` has shape (widths[l-1], widths[l]).  Construction checks every
+    invariant and raises :class:`ConfigError` on the first that fails.
     """
 
     widths: tuple[int, ...]
     activation: Activation = RELU
-    priors: tuple[PriorSpec, ...] = field(default_factory=tuple)
+    priors: tuple[PriorSpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise ConfigError(f"need at least one hidden layer, got depth {self.depth}")
+        _check_widths(self.widths)
+        if len(self.priors) != self.depth:
+            raise ConfigError(
+                f"expected {self.depth} priors (one per hidden layer), got {len(self.priors)}")
+        if not isinstance(self.activation, Activation):
+            raise ConfigError("activation must be an Activation instance")
+        for layer, prior in enumerate(self.priors, start=1):
+            prior.validate(self.widths[layer - 1])
 
     @property
     def depth(self) -> int:
@@ -192,21 +205,4 @@ def uniform_config(
     if not _integer(depth):
         raise ConfigError(f"depth must be an integer, got {depth!r}")
     widths = (input_dim,) + (hidden_width,) * depth
-    return validate_config(NetworkConfig(widths, activation, (prior,) * depth))
-
-
-def validate_config(config: NetworkConfig) -> NetworkConfig:
-    """Return ``config`` unchanged iff all structural invariants hold."""
-    if config.depth < 1:
-        raise ConfigError(f"need at least one hidden layer, got depth {config.depth}")
-    _check_widths(config.widths)
-    if len(config.priors) != config.depth:
-        raise ConfigError(
-            f"expected {config.depth} priors (one per hidden layer), "
-            f"got {len(config.priors)}"
-        )
-    if not isinstance(config.activation, Activation):
-        raise ConfigError("activation must be an Activation instance")
-    for layer, prior in enumerate(config.priors, start=1):
-        prior.validate(config.widths[layer - 1])
-    return config
+    return NetworkConfig(widths, activation, (prior,) * depth)

@@ -6,11 +6,11 @@ layer's units are i.i.d. ``sqrt(h' Sigma h) * xi``, with xi standard normal
 for the Gaussian families and Student-t for ``student_t`` (Cambanis, Huang
 & Simons 1981).  Draws are organized in fixed-size blocks of samples.  Each
 block owns a private counter-based random stream keyed by (master seed,
-stream label, replica, block index), so any number of worker threads can
+namespace, stream label, block index), so any number of worker threads can
 fill disjoint blocks and the result is a pure function of (config, input,
-seed, n) -- independent of thread count and scheduling.  Replicas of one
-seed are independent copies of the networks; ``combine_copies`` adds or
-subtracts two of them row by row.
+seed, n) -- independent of thread count and scheduling.  Draws on two child
+seeds of one master seed are independent copies of the networks;
+``combine_copies`` adds or subtracts two of them row by row.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (
-    STUDENT_T,
-    NetworkConfig,
-    PriorSpec,
-    _integer,
-    validate_config,
-)
+from .network import STUDENT_T, NetworkConfig, PriorSpec, _integer
 
 # Stream labels, the first key of SeedSpec.stream; distinct labels give independent streams.
 STREAM_INPUT = 0
@@ -36,6 +30,9 @@ STREAM_WEIGHTS = 1
 # Row-wise combinations of two independent copies (combine_copies).
 SUM_OF_COPIES = "sum"
 DIFF_OF_COPIES = "diff"
+
+# The values a batch can tap: pre-activations or the activation's outputs.
+TAPS = ("pre", "post")
 
 # Samples per block.  Fixed, so a depth-l draw is the exact prefix of a
 # depth-L draw from the same seed.
@@ -71,7 +68,7 @@ def _as_seed(seed) -> SeedSpec:
 
 
 def _check_tap(tap: str) -> None:
-    if tap not in ("pre", "post"):
+    if tap not in TAPS:
         raise ValueError(f"tap must be 'pre' or 'post', got {tap!r}")
 
 
@@ -158,7 +155,7 @@ def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
 
 def _sample(
     config: NetworkConfig, input: np.ndarray, layers: tuple[int, ...], unit_pair, tap: str,
-    n: int, seed, replica: int, workers: int, want_norms: bool = False,
+    n: int, seed, workers: int, want_norms: bool = False,
 ) -> list[list[np.ndarray]]:
     """Checked block loop behind :func:`sample_layer` and :func:`sample_taps`.
 
@@ -166,9 +163,8 @@ def _sample(
     matrix with no ``unit_pair``, else an (n,) vector per unit (the full
     matrix is never stored), then the previous-layer norms if ``want_norms``.
     """
-    validate_config(config)
-    # block k reads stream (STREAM_WEIGHTS, replica, k); the child checks the replica
-    streams = _as_seed(seed).child(STREAM_WEIGHTS, replica)
+    # block k reads stream (STREAM_WEIGHTS, 0, k) under the seed's namespace
+    streams = _as_seed(seed).child(STREAM_WEIGHTS, 0)
     widths = config.widths
     if not layers or any(a >= b for a, b in zip(layers, layers[1:])):
         raise ValueError(f"layers must be a non-empty, strictly increasing tuple, got {layers!r}")
@@ -219,23 +215,25 @@ def sample_layer(
     workers: int = 1,
 ) -> np.ndarray:
     """(n, H_layer) matrix of one layer's tapped values over n prior draws."""
-    return _sample(config, input, (layer,), None, tap, n, seed, 0, workers)[0][0]
+    return _sample(config, input, (layer,), None, tap, n, seed, workers)[0][0]
 
 
 def sample_units(
     config: NetworkConfig, input: np.ndarray, layer: int, unit_pair: tuple[int, int],
-    tap: str = "pre", n: int = 0, seed=0, want_norms: bool = False, replica: int = 0,
-    workers: int = 1,
+    tap: str = "pre", n: int = 0, seed=0, *, want_norms: bool = False, workers: int = 1,
 ) -> SampleBatch:
-    """n independent prior draws of two distinct units of one layer."""
-    return sample_taps(config, input, (layer,), unit_pair, tap, n, seed, want_norms, replica,
-                       workers)[0]
+    """n independent prior draws of two distinct units of one layer.
+
+    A second, independent copy of the networks is a draw on a child seed,
+    e.g. ``SeedSpec(seed).child(1)``.
+    """
+    return sample_taps(config, input, (layer,), unit_pair, tap, n, seed,
+                       want_norms=want_norms, workers=workers)[0]
 
 
 def sample_taps(
     config: NetworkConfig, input: np.ndarray, layers: tuple[int, ...], unit_pair: tuple[int, int],
-    tap: str = "pre", n: int = 0, seed=0, want_norms: bool = False, replica: int = 0,
-    workers: int = 1,
+    tap: str = "pre", n: int = 0, seed=0, *, want_norms: bool = False, workers: int = 1,
 ) -> list[SampleBatch]:
     """One :func:`sample_units` batch per strictly increasing layer, all from one draw of the net.
 
@@ -244,4 +242,4 @@ def sample_taps(
     """
     return [SampleBatch(u, v, layer, tap, config.priors[layer - 1], *norms)
             for layer, (u, v, *norms) in zip(layers, _sample(
-                config, input, layers, unit_pair, tap, n, seed, replica, workers, want_norms))]
+                config, input, layers, unit_pair, tap, n, seed, workers, want_norms))]

@@ -15,8 +15,8 @@ from bnndep.gridio import (
     render_heatmap,
     write_grid_csv,
 )
-from bnndep.network import PriorSpec
-from bnndep.sampling import SampleBatch
+from bnndep.network import PriorSpec, uniform_config
+from bnndep.sampling import SampleBatch, SeedSpec, combine_copies, generate_input, sample_units
 
 
 def random_grid(n=3000, steps=7, seed=0):
@@ -467,6 +467,21 @@ class TestOtherCommands:
         assert main(args) == 0
         capsys.readouterr()
         assert (tmp_path / "d2" / "delta.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_delta_combo_second_copy_is_the_child_seed_draw(self, tmp_path, capsys, mode):
+        args = ["delta", "--depths", "2", "--widths", "3", "--n", "500", "--input-dim", "10",
+                "--seed", "7", "--grid-steps", "5", "--combo", mode, "--formats", "csv",
+                "--out", str(tmp_path / "d")]
+        assert main(args) == 0
+        capsys.readouterr()
+        config, seed = uniform_config(10, 3, 2), SeedSpec(7)
+        x = generate_input(10, seed)
+        first, second = (sample_units(config, x, 2, (0, 1), "pre", 500, s)
+                         for s in (seed, seed.child(1)))
+        z = np.linspace(-1.0, 1.0, 5)
+        want = grid_csv_text(delta_grid(combine_copies(first, second, mode), z, z))
+        assert (tmp_path / "d" / "delta.csv").read_text() == want
 
     @pytest.mark.parametrize("command", ["sweep", "delta"])
     @pytest.mark.parametrize("workers", ["0", "-3"])

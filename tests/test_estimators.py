@@ -103,8 +103,8 @@ class TestSampleShapes:
             batch = sample_units(cfg, x, 2, (0, 1), "post", 100, SeedSpec(5), want_norms=norms)
             assert batch.u.shape == batch.v.shape == (100,)
             assert norms == (batch.prev_norms is not None)
-        reps = [sample_units(cfg, x, 3, (0, 2), "pre", 100, SeedSpec(6), replica=r)
-                for r in (0, 1)]
+        reps = [sample_units(cfg, x, 3, (0, 2), "pre", 100, seed)
+                for seed in (SeedSpec(6), SeedSpec(6).child(1))]
         for mode in (SUM_OF_COPIES, DIFF_OF_COPIES):
             assert combine_copies(*reps, mode).n == 100
 

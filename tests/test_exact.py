@@ -238,7 +238,7 @@ class TestDiscreteForward:
         spec = DiscreteNetSpec(widths=(3, 4, 2, 3), input=(0.5, -1.0, 2.0))
         rng = np.random.default_rng(7)
         for layer in (1, 2, 3):
-            cfg = NetworkConfig(spec.widths[: layer + 1], RELU)
+            cfg = NetworkConfig(spec.widths[: layer + 1], RELU, (PriorSpec(),) * layer)
             draws = rng.standard_normal((6, spec.weight_count(layer)))
             got = _last_pre(spec.widths[: layer + 1], np.array(spec.input), draws)
             for row, flat in zip(got, draws):

@@ -12,7 +12,6 @@ from bnndep.network import (
     PriorSpec,
     elu,
     uniform_config,
-    validate_config,
 )
 from reference import forward
 
@@ -52,53 +51,70 @@ class TestActivations:
             assert np.all(act(x) != 0.0)
 
 
-class TestValidateConfig:
+class TestConfigConstruction:
+    """A NetworkConfig checks its invariants when it is built."""
+
     def test_well_formed_accepted(self):
         cfg = NetworkConfig((100, 2, 2), RELU, (PriorSpec(), PriorSpec()))
-        assert validate_config(cfg) is cfg
+        assert (cfg.depth, cfg.widths) == (2, (100, 2, 2))
 
     def test_prior_count_mismatch(self):
-        cfg = NetworkConfig((100, 2, 2), RELU, (PriorSpec(),))
-        with pytest.raises(ConfigError):
-            validate_config(cfg)
+        message = r"expected 2 priors \(one per hidden layer\), got 1"
+        with pytest.raises(ConfigError, match=message):
+            NetworkConfig((100, 2, 2), RELU, (PriorSpec(),))
+        with pytest.raises(ConfigError, match="expected 1 priors"):
+            NetworkConfig((100, 2))
+
+    def test_no_hidden_layer(self):
+        with pytest.raises(ConfigError, match="need at least one hidden layer, got depth 0"):
+            NetworkConfig((100,))
 
     def test_non_positive_width(self):
-        with pytest.raises(ConfigError):
-            validate_config(NetworkConfig((10, 0), RELU, (PriorSpec(),)))
+        with pytest.raises(ConfigError, match="widths must be positive integers"):
+            NetworkConfig((10, 0), RELU, (PriorSpec(),))
+
+    def test_activation_must_be_an_activation(self):
+        with pytest.raises(ConfigError, match="activation must be an Activation instance"):
+            NetworkConfig((10, 2), "relu", (PriorSpec(),))
 
     def test_equicorrelated_singular_rejected(self):
         # at rho = -1 the 2x2 correlation matrix [[1, -1], [-1, 1]] is singular
         assert np.linalg.det(np.array([[1.0, -1.0], [-1.0, 1.0]])) == 0.0
         prior = PriorSpec(family="equicorrelated", rho=-1.0)
-        with pytest.raises(ConfigError):
-            validate_config(NetworkConfig((2, 3), RELU, (prior,)))
+        with pytest.raises(ConfigError, match="outside positive-definite range"):
+            NetworkConfig((2, 3), RELU, (prior,))
 
     def test_equicorrelated_valid_range(self):
         # fan-in 3 admits rho in (-1/2, 1)
-        prior = PriorSpec(family="equicorrelated", rho=-0.4)
-        validate_config(NetworkConfig((3, 2), RELU, (prior,)))
-        with pytest.raises(ConfigError):
-            validate_config(
-                NetworkConfig((3, 2), RELU, (PriorSpec(family="equicorrelated", rho=-0.6),))
-            )
+        NetworkConfig((3, 2), RELU, (PriorSpec(family="equicorrelated", rho=-0.4),))
+        with pytest.raises(ConfigError, match=r"rho=-0.6 outside positive-definite range"):
+            NetworkConfig((3, 2), RELU, (PriorSpec(family="equicorrelated", rho=-0.6),))
 
     def test_student_nu_bound(self):
-        with pytest.raises(ConfigError):
-            validate_config(NetworkConfig((4, 2), RELU, (PriorSpec(family="student_t", nu=2.0),)))
-        validate_config(NetworkConfig((4, 2), RELU, (PriorSpec(family="student_t", nu=2.5),)))
+        with pytest.raises(ConfigError, match="student_t nu must be finite and exceed 2"):
+            NetworkConfig((4, 2), RELU, (PriorSpec(family="student_t", nu=2.0),))
+        NetworkConfig((4, 2), RELU, (PriorSpec(family="student_t", nu=2.5),))
 
     def test_sigma0_positive(self):
-        with pytest.raises(ConfigError):
-            validate_config(NetworkConfig((4, 2), RELU, (PriorSpec(sigma0=0.0),)))
+        with pytest.raises(ConfigError, match="sigma0 must be positive and finite"):
+            NetworkConfig((4, 2), RELU, (PriorSpec(sigma0=0.0),))
 
-    @pytest.mark.parametrize("prior", [
-        PriorSpec(sigma0=np.inf),
-        PriorSpec(sigma0=np.nan),
-        PriorSpec(family="student_t", nu=np.inf),
+    @pytest.mark.parametrize("prior, message", [
+        (PriorSpec(sigma0=np.inf), "sigma0 must be positive and finite"),
+        (PriorSpec(sigma0=np.nan), "sigma0 must be positive and finite"),
+        (PriorSpec(family="student_t", nu=np.inf), "student_t nu must be finite"),
     ], ids=["sigma0_inf", "sigma0_nan", "student_t_nu_inf"])
-    def test_non_finite_rejected(self, prior):
-        with pytest.raises(ConfigError):
-            validate_config(NetworkConfig((4, 2), RELU, (prior,)))
+    def test_non_finite_rejected(self, prior, message):
+        with pytest.raises(ConfigError, match=message):
+            NetworkConfig((4, 2), RELU, (prior,))
+
+    @pytest.mark.parametrize("prior, message", [
+        (PriorSpec(family="laplace"), "unknown prior family 'laplace'"),
+        (PriorSpec(scale_mode="fan_out"), "unknown scale mode 'fan_out'"),
+    ])
+    def test_unknown_names_rejected(self, prior, message):
+        with pytest.raises(ConfigError, match=message):
+            NetworkConfig((4, 2), RELU, (prior,))
 
 
 class TestUniformConfig:

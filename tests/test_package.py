@@ -1,9 +1,12 @@
 """Guards on the package's public surface and source style."""
 
+import inspect
+import re
 import types
 from pathlib import Path
 
 import bnndep
+from bnndep import sampling
 
 SOURCE = Path(bnndep.__file__).resolve().parent
 MAX_LINE = 99
@@ -16,8 +19,12 @@ PUBLIC_NAMES = [
     "conditional_exceedance", "covariance", "delta_grid", "delta_lower", "delta_upper",
     "elu", "enumerate_exact_delta", "generate_input", "kendall_tau", "pd_profile",
     "rao_blackwell_delta", "run_sweep", "sample_layer", "sample_taps", "sample_units",
-    "spearman_rho", "summarize", "toy_relu_net", "uniform_config", "validate_config",
+    "spearman_rho", "summarize", "toy_relu_net", "uniform_config",
 ]
+
+# numpy's generator and seed-sequence constructors, and the standard library's random module
+RANDOMNESS = re.compile(r"\b(np|numpy)\.random\b|\b(default_rng|SeedSequence|RandomState)\b"
+                        r"|^\s*(import|from)\s+random\b")
 
 
 def test_public_names_are_pinned():
@@ -33,3 +40,23 @@ def test_no_source_line_over_the_limit():
             for number, line in enumerate(path.read_text().splitlines(), start=1)
             if len(line) > MAX_LINE]
     assert long == []
+
+
+def test_randomness_comes_only_from_seed_streams():
+    # SeedSpec.stream is the one place a random generator is built, so every draw is
+    # keyed by the master seed and a stream label
+    lines, first = inspect.getsourcelines(sampling.SeedSpec.stream)
+    allowed = {("sampling.py", first + i) for i in range(len(lines))}
+    found = [f"{path.name}:{number}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if RANDOMNESS.search(line) and (path.name, number) not in allowed]
+    assert found == []
+
+
+def test_no_sampler_takes_a_replica():
+    # an independent copy of the networks is a draw on a child seed, not a sampler argument
+    samplers = [getattr(bnndep, name) for name in PUBLIC_NAMES if name.startswith("sample_")]
+    assert [f.__name__ for f in samplers] == ["sample_layer", "sample_taps", "sample_units"]
+    for f in [*samplers, sampling._sample]:
+        assert "replica" not in inspect.signature(f).parameters, f.__name__

@@ -58,19 +58,14 @@ class TestSeeds:
         with pytest.raises(ValueError, match="seeds and stream labels must be integers >= 0"):
             SeedSpec(1, (label,))
 
-    @pytest.mark.parametrize("replica", [1.5, True, -1])
-    def test_non_integer_or_negative_replica_rejected(self, small_setup, replica):
-        # True used to draw replica 1
-        x, cfg = small_setup
-        with pytest.raises(ValueError, match="seeds and stream labels must be integers >= 0"):
-            sample_units(cfg, x, 2, (0, 1), "pre", 10, 3, replica=replica)
-
     def test_numpy_integers_keep_the_bits(self, small_setup):
         x, cfg = small_setup
         assert np.array_equal(generate_input(3, np.int64(7)), generate_input(3, 7))
-        a = sample_units(cfg, x, 2, (0, 1), "pre", 100, np.uint32(5), replica=np.int64(1))
-        b = sample_units(cfg, x, 2, (0, 1), "pre", 100, SeedSpec(5), replica=1)
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        for numpy_seed, seed in ((np.uint32(5), SeedSpec(5)),
+                                 (SeedSpec(np.uint32(5)).child(np.int64(1)), SeedSpec(5).child(1))):
+            a = sample_units(cfg, x, 2, (0, 1), "pre", 100, numpy_seed)
+            b = sample_units(cfg, x, 2, (0, 1), "pre", 100, seed)
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
     def test_stream_keys_are_the_seed_sequence_spawn_keys(self):
         # the mapping from seed to bits: master seed as entropy, namespace and labels as key
@@ -178,6 +173,15 @@ class TestSampleUnits:
         with pytest.raises(ValueError):
             sample_units(cfg, x, 2, (0, 1), "mid", 10, SeedSpec(1))
 
+    def test_nothing_positional_after_the_seed(self, small_setup):
+        # want_norms and workers are keyword-only, so a stale positional argument raises
+        # instead of binding to the wrong parameter
+        x, cfg = small_setup
+        with pytest.raises(TypeError):
+            sample_units(cfg, x, 2, (0, 1), "pre", 10, SeedSpec(1), 1)
+        with pytest.raises(TypeError):
+            sample_taps(cfg, x, (2,), (0, 1), "pre", 10, SeedSpec(1), False, 1)
+
     @pytest.mark.parametrize("pair", [(0, 1, 1), (0,), (), 1, ((0, 1), (1, 2))])
     def test_unit_pair_must_name_two_units(self, small_setup, pair):
         # (0, 1, 1) used to fail with "too many values to unpack"
@@ -221,22 +225,23 @@ class TestPrevNorms:
 
 
 def copies(cfg, x, n, seed, workers=1):
-    """Replicas 0 and 1 of the same draw: two independent copies of the networks."""
-    return [sample_units(cfg, x, 2, (0, 1), "pre", n, seed, replica=r, workers=workers)
-            for r in (0, 1)]
+    """Draws on ``seed`` and on its child (1,): two independent copies of the networks."""
+    return [sample_units(cfg, x, 2, (0, 1), "pre", n, s, workers=workers)
+            for s in (seed, seed.child(1))]
 
 
-class TestReplicas:
+class TestChildCopies:
     def test_empty(self, small_setup):
         x, cfg = small_setup
         for mode in ("sum", "diff"):
             assert combine_copies(*copies(cfg, x, 0, SeedSpec(1)), mode).n == 0
 
-    def test_replica_independence(self, small_setup):
+    def test_copy_independence(self, small_setup):
         x, cfg = small_setup
         n = 20_000
         first, second = copies(cfg, x, n, SeedSpec(13))
-        assert abs(np.corrcoef(first.u, second.u)[0, 1]) < 4 / np.sqrt(n)
+        for a, b in ((first.u, second.u), (first.v, second.v), (first.u, second.v)):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 4 / np.sqrt(n)
 
     def test_marginal_law_matches_sample_units(self, small_setup):
         x, cfg = small_setup
@@ -247,13 +252,13 @@ class TestReplicas:
         assert abs(first.u.var() / solo.u.var() - 1.0) < rel_tol
         assert abs(second.u.var() / solo.u.var() - 1.0) < rel_tol
 
-    def test_first_replica_matches_plain_draws(self, small_setup):
+    def test_first_copy_matches_plain_draws(self, small_setup):
         x, cfg = small_setup
         first, _ = copies(cfg, x, 400, SeedSpec(16))
         solo = sample_units(cfg, x, 2, (0, 1), "pre", 400, SeedSpec(16))
         assert np.array_equal(first.u, solo.u) and np.array_equal(first.v, solo.v)
 
-    def test_second_replica_is_thread_count_invariant(self, small_setup):
+    def test_second_copy_is_thread_count_invariant(self, small_setup):
         x, cfg = small_setup
         _, a = copies(cfg, x, 9000, SeedSpec(17), workers=1)
         _, b = copies(cfg, x, 9000, SeedSpec(17), workers=3)
@@ -284,19 +289,21 @@ class TestSampleTaps:
     @pytest.mark.parametrize("family", sorted(TAP_PRIORS))
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("tap", ["pre", "post"])
-    @pytest.mark.parametrize("layers, norms, replica", [((1, 2, 4), False, 0),
-                                                        ((2, 3), True, 1)])
+    @pytest.mark.parametrize("layers, norms, child", [((1, 2, 4), False, ()),
+                                                      ((2, 3), True, (1,))])
     def test_each_tap_equals_a_separate_draw_of_its_depth(self, family, workers, tap, layers,
-                                                          norms, replica):
-        # 9000 draws span three blocks, so two workers split the blocks
+                                                          norms, child):
+        # 9000 draws span three blocks, so two workers split the blocks; child (1,)
+        # is the second copy of the networks
         x = generate_input(7, SeedSpec(80))
+        seed = SeedSpec(81).child(*child)
         config = uniform_config(7, 3, 4, RELU, TAP_PRIORS[family])
-        taps = sample_taps(config, x, layers, (2, 0), tap, 9000, SeedSpec(81), norms, replica,
-                           workers)
+        taps = sample_taps(config, x, layers, (2, 0), tap, 9000, seed, want_norms=norms,
+                           workers=workers)
         assert [b.layer for b in taps] == list(layers)
         for batch in taps:
             solo = sample_units(uniform_config(7, 3, batch.layer, RELU, TAP_PRIORS[family]), x,
-                                batch.layer, (2, 0), tap, 9000, SeedSpec(81), norms, replica)
+                                batch.layer, (2, 0), tap, 9000, seed, want_norms=norms)
             assert np.array_equal(batch.u, solo.u) and np.array_equal(batch.v, solo.v)
             assert (batch.tap, batch.prior) == (solo.tap, solo.prior)
             assert (batch.prev_norms is None if not norms
