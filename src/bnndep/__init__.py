@@ -5,7 +5,6 @@ from .estimators import (
     DeltaGrid,
     EstimateWithError,
     PdProfile,
-    conditional_exceedance,
     covariance,
     delta_grid,
     delta_lower,
@@ -13,6 +12,7 @@ from .estimators import (
     kendall_tau,
     pd_profile,
     rao_blackwell_delta,
+    rao_blackwell_grid,
     spearman_rho,
 )
 from .exact import (

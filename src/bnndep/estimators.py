@@ -11,7 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class DeltaGrid:
     the <= events instead, and no field records which tail a grid holds.
     ``null_std_error`` is the SE each cell would have at zero dependence,
     sqrt(p1(1-p1) p2(1-p2) / n) from its marginals; it is None for a grid
-    read back from CSV.
+    read back from CSV and for a Rao-Blackwell grid.
     """
 
     z1_values: np.ndarray
@@ -146,6 +146,17 @@ def delta_lower(batch: SampleBatch, z1: float, z2: float) -> EstimateWithError:
     return _delta_xy(batch.u, batch.v, z1, z2, LOWER)
 
 
+def _thresholds(z1_values: Sequence[float], z2_values: Sequence[float]) -> tuple:
+    """A grid's two threshold axes as float64 arrays, each checked non-empty and increasing."""
+    z1 = np.asarray(z1_values, dtype=np.float64)
+    z2 = np.asarray(z2_values, dtype=np.float64)
+    if z1.size == 0 or z2.size == 0:
+        raise ValueError("threshold grids must be non-empty")
+    if np.any(np.diff(z1) <= 0) or np.any(np.diff(z2) <= 0):
+        raise ValueError("threshold grids must be strictly increasing")
+    return z1, z2
+
+
 def delta_grid(
     batch: SampleBatch,
     z1_values: Sequence[float],
@@ -159,12 +170,7 @@ def delta_grid(
     G x G grid O(n log n + G^2) instead of O(G^2 n).  Each cell equals the
     corresponding scalar estimator exactly.
     """
-    z1 = np.asarray(z1_values, dtype=np.float64)
-    z2 = np.asarray(z2_values, dtype=np.float64)
-    if z1.size == 0 or z2.size == 0:
-        raise ValueError("threshold grids must be non-empty")
-    if np.any(np.diff(z1) <= 0) or np.any(np.diff(z2) <= 0):
-        raise ValueError("threshold grids must be strictly increasing")
+    z1, z2 = _thresholds(z1_values, z2_values)
     u, v = batch.u, batch.v
     n = _sample_count("exceedance-difference estimation", u, v, finite=(z1, z2))
     if tail not in (UPPER, LOWER):
@@ -330,7 +336,7 @@ def spearman_rho(batch: SampleBatch) -> EstimateWithError:
 
 
 # ---------------------------------------------------------------------------
-# Conditional exceedance and its Rao-Blackwellized estimator
+# Rao-Blackwellized exceedance differences
 # ---------------------------------------------------------------------------
 
 def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
@@ -339,7 +345,7 @@ def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
     if prior.family not in (GAUSSIAN_IID, GAUSSIAN_EQUICORRELATED, STUDENT_T):
         raise ValueError(f"no closed-form conditional exceedance for {prior.family!r}")
     survival = partial(stdtr, prior.nu) if prior.family == STUDENT_T else ndtr
-    if z == 0:
+    if z == 0:                          # survival(0) once, not a survival pass over y
         return np.where(y > 0, survival(0.0), 1.0)
     # -z / 0 is -inf above z = 0 and +inf below it: the survivals 0 and 1 of the atom
     with np.errstate(divide="ignore"):
@@ -347,30 +353,17 @@ def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
     return survival(q, out=q)
 
 
-def conditional_exceedance(prior: PriorSpec, z: float, y) -> Union[float, np.ndarray]:
-    """P(w'X >= z | scatter-weighted norm of X equals y).
+def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
+                       z2_values: Sequence[float]) -> DeltaGrid:
+    """Upper-tail exceedance differences from conditional expectations of the indicators.
 
-    For elliptical weight priors this probability depends on X only through
-    the scalar y.  Gaussian families give the standard normal survival at
-    z / y, the student_t family the t survival at z / y.  At y = 0 the
-    projection is exactly zero, so the value is 1 when z <= 0 and 0 above.
+    Given the previous-layer norm y, an elliptical prior puts P(u >= z | y) at its family's
+    survival at z / y, normal or t; where y = 0 it is 1 for z <= 0 and 0 above.  Each
+    threshold's survival row is computed once, and cell (a, b) is the sample covariance of
+    rows z1[a] and z2[b]: it estimates the upper-tail :func:`delta_grid` cell with
+    never-larger asymptotic variance.  Tap ``"pre"`` only; ``null_std_error`` is None.
     """
-    y_arr = np.asarray(y, dtype=np.float64)
-    if not _finite(y_arr, z) or np.any(y_arr < 0):
-        raise ValueError("the threshold and the conditioning norm must be finite, the norm >= 0")
-    out = _norm_survival(prior, z, y_arr)
-    return float(out) if np.ndim(y) == 0 else out
-
-
-def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWithError:
-    """Exceedance difference via conditional expectations of the indicators.
-
-    Replaces each indicator with its conditional exceedance probability
-    given the previous-layer norm and returns the sample covariance of the
-    two resulting sequences; estimates the same quantity as
-    :func:`delta_upper` with never-larger asymptotic variance.  The
-    conditional probabilities are those of pre-activations: tap ``"pre"`` only.
-    """
+    z1, z2 = _thresholds(z1_values, z2_values)
     if batch.tap != "pre":
         raise ValueError(f"Rao-Blackwell estimation needs tap 'pre', got {batch.tap!r}")
     if batch.prev_norms is None:
@@ -378,10 +371,18 @@ def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWit
     if batch.layer < 2:
         raise ValueError("conditioning on the previous layer needs layer >= 2")
     y = batch.prev_norms
-    n = _sample_count("covariance estimation", y, finite=(z1, z2))
+    n = _sample_count("Rao-Blackwell estimation", y, finite=(z1, z2))
     if np.any(y < 0):
         raise ValueError("the conditioning norm must be non-negative")
-    return _cov_with_se(*_pair(lambda z: _norm_survival(batch.prior, z, y), z1, z2, n), n)
+    rows1, rows2 = _pair(lambda zs: [_norm_survival(batch.prior, z, y) for z in zs], z1, z2, n)
+    cells = [_cov_with_se(r1, r2, n) for r1 in rows1 for r2 in rows2]
+    value, se = np.array([(c.value, c.std_error) for c in cells]).T.reshape(2, z1.size, z2.size)
+    return DeltaGrid(z1, z2, value, se, n)
+
+
+def rao_blackwell_delta(batch: SampleBatch, z1: float, z2: float) -> EstimateWithError:
+    """The one cell of :func:`rao_blackwell_grid` at (z1, z2)."""
+    return rao_blackwell_grid(batch, [z1], [z2]).cell(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from bnndep import estimators
 from bnndep.estimators import (
     LOWER,
     UPPER,
+    _norm_survival,
     _pair,
-    conditional_exceedance,
     covariance,
     delta_grid,
     delta_lower,
@@ -24,6 +24,7 @@ from bnndep.estimators import (
     kendall_tau_arrays,
     pd_profile,
     rao_blackwell_delta,
+    rao_blackwell_grid,
     spearman_rho,
     spearman_rho_arrays,
 )
@@ -313,40 +314,33 @@ class TestCovariance:
 
 
 class TestConditionalExceedance:
+    """P(w'X >= z | norm y), the survival row the Rao-Blackwell estimator reads.
+
+    Its argument checks are the estimator's: see test_non_finite_norm_rejected,
+    test_negative_norm_rejected_by_rao_blackwell and test_non_finite_threshold_rejected.
+    """
+
     def test_gaussian_median(self):
-        assert conditional_exceedance(PriorSpec(), 0.0, 1.0) == 0.5
+        assert _norm_survival(PriorSpec(), 0.0, np.ones(1))[0] == 0.5
 
     def test_gaussian_one_sigma(self):
-        got = conditional_exceedance(PriorSpec(), 1.0, 1.0)
+        got = _norm_survival(PriorSpec(), 1.0, np.ones(1))[0]
         # cross-check against an independent survival implementation
         assert got == pytest.approx(0.5 * erfc(1 / np.sqrt(2)), abs=1e-15)
         assert got == pytest.approx(0.15865525393145707, abs=1e-12)
 
     def test_zero_norm_is_indicator(self):
         for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.0)):
-            assert conditional_exceedance(prior, -1.0, 0.0) == 1.0
-            assert conditional_exceedance(prior, 0.0, 0.0) == 1.0
-            assert conditional_exceedance(prior, 0.5, 0.0) == 0.0
+            assert _norm_survival(prior, -1.0, np.zeros(1))[0] == 1.0
+            assert _norm_survival(prior, 0.0, np.zeros(1))[0] == 1.0
+            assert _norm_survival(prior, 0.5, np.zeros(1))[0] == 0.0
 
     def test_student_matches_reference(self):
         prior = PriorSpec(family="student_t", nu=4.5)
         y = np.array([0.5, 1.0, 2.0])
-        got = conditional_exceedance(prior, 1.2, y)
+        got = _norm_survival(prior, 1.2, y)
         want = student_t.sf(1.2 / y, df=4.5)
         assert np.allclose(got, want, rtol=1e-12)
-
-    def test_negative_norm_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_exceedance(PriorSpec(), 0.0, -1.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_norm_rejected(self, bad):
-        # a NaN norm would count as a dead layer, an infinite one as z / y = 0
-        for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.0)):
-            with pytest.raises(ValueError, match="finite"):
-                conditional_exceedance(prior, 0.5, bad)
-            with pytest.raises(ValueError, match="finite"):
-                conditional_exceedance(prior, 0.5, np.array([1.0, bad, 0.0]))
 
 
 class TestRaoBlackwell:
@@ -374,11 +368,14 @@ class TestRaoBlackwell:
             rao_blackwell_delta(batch, 0.0, 0.0)
 
     def test_non_finite_norm_rejected(self):
-        norms = np.abs(np.random.default_rng(2).standard_normal(100))
-        norms[17] = np.nan
-        batch = make_batch(np.zeros(100), np.zeros(100), prev_norms=norms)
-        with pytest.raises(ValueError, match="finite"):
-            rao_blackwell_delta(batch, 0.7, 0.2)
+        # a NaN norm would count as a dead layer, an infinite one as z / y = 0
+        for bad in (np.nan, np.inf):
+            norms = np.abs(np.random.default_rng(2).standard_normal(100))
+            norms[17] = bad
+            for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.0)):
+                batch = SampleBatch(np.zeros(100), np.zeros(100), 2, "pre", prior, norms)
+                with pytest.raises(ValueError, match="Rao-Blackwell estimation needs finite"):
+                    rao_blackwell_delta(batch, 0.7, 0.2)
 
     def test_agrees_with_indicator_estimator(self):
         x = generate_input(40, SeedSpec(31))
@@ -393,6 +390,7 @@ class TestRaoBlackwell:
 PRIORS = [PriorSpec(), PriorSpec(family="equicorrelated", rho=0.3),
           PriorSpec(family="student_t", nu=3.5)]
 ATOM_THRESHOLDS = [-1.0, -0.0, 0.0, 0.5]
+GRID_NEG_ZERO, GRID_ZERO = (-1.0, -0.0, 0.5), (-0.25, 0.0, 0.75, 1.5)
 
 
 def reference_exceedance(prior, z, y):
@@ -428,10 +426,11 @@ class TestKernelBits:
     @pytest.mark.parametrize("z", ATOM_THRESHOLDS)
     def test_conditional_exceedance_keeps_the_atom_and_its_bits(self, prior, z):
         y = norms_with_dead_rows()
-        got = conditional_exceedance(prior, z, y)
+        kept = y.copy()
+        got = _norm_survival(prior, z, y)
         assert got.tobytes() == reference_exceedance(prior, z, y).tobytes()
         assert np.all(got[::5] == (1.0 if z <= 0 else 0.0))
-        assert conditional_exceedance(prior, z, 0.0) == (1.0 if z <= 0 else 0.0)
+        assert y.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
     def test_rao_blackwell_keeps_its_bits_and_the_inputs(self, prior):
@@ -444,6 +443,25 @@ class TestKernelBits:
             want = reference_covariance(reference_exceedance(prior, z1, y),
                                         reference_exceedance(prior, z2, y))
             assert (e.value.hex(), e.std_error.hex()) == tuple(w.hex() for w in want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, y), kept))
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
+    @pytest.mark.parametrize("z1s, z2s", [(GRID_NEG_ZERO, GRID_ZERO), (GRID_ZERO, GRID_NEG_ZERO)],
+                             ids=["neg_zero_by_zero", "zero_by_neg_zero"])
+    def test_rao_blackwell_grid_keeps_its_bits_and_the_inputs(self, prior, z1s, z2s):
+        y = norms_with_dead_rows()
+        u, v = np.random.default_rng(47).standard_normal((2, y.shape[0]))
+        kept = [a.copy() for a in (u, v, y)]
+        grid = rao_blackwell_grid(SampleBatch(u, v, 2, "pre", prior, y), z1s, z2s)
+        assert grid.value.shape == grid.std_error.shape == (len(z1s), len(z2s))
+        assert grid.null_std_error is None and grid.n == y.shape[0]
+        assert grid.z1_values.tobytes() == np.array(z1s).tobytes()
+        assert grid.z2_values.tobytes() == np.array(z2s).tobytes()
+        for (a, z1), (b, z2) in itertools.product(enumerate(z1s), enumerate(z2s)):
+            want = reference_covariance(reference_exceedance(prior, z1, y),
+                                        reference_exceedance(prior, z2, y))
+            got = grid.cell(a, b)
+            assert (got.value.hex(), got.std_error.hex()) == tuple(w.hex() for w in want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, y), kept))
 
     @pytest.mark.parametrize("n", [2, 3, 1000, 100_001])
@@ -459,15 +477,53 @@ class TestKernelBits:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_threshold_rejected(self, bad):
         batch = make_batch(np.zeros(10), np.zeros(10), prev_norms=np.ones(10))
-        with pytest.raises(ValueError, match="finite"):
-            conditional_exceedance(PriorSpec(), bad, 1.0)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="Rao-Blackwell estimation needs finite"):
             rao_blackwell_delta(batch, 0.5, bad)
+        with pytest.raises(ValueError, match="Rao-Blackwell estimation needs finite"):
+            rao_blackwell_grid(batch, [-1.0, 0.5], [bad])
 
     def test_negative_norm_rejected_by_rao_blackwell(self):
         batch = make_batch(np.zeros(4), np.zeros(4), prev_norms=np.array([1.0, 0.0, -0.5, 2.0]))
         with pytest.raises(ValueError, match="non-negative"):
             rao_blackwell_delta(batch, 0.5, 0.5)
+
+
+def rb_batch(tap="pre", layer=2, norms=(1.0, 0.0, 2.0, 0.5)):
+    n = 4 if norms is None else len(norms)
+    return SampleBatch(np.zeros(n), np.ones(n), layer, tap, PriorSpec(),
+                       None if norms is None else np.array(norms))
+
+
+class TestRaoBlackwellGridRejections:
+    @pytest.mark.parametrize("batch, z1s, z2s, match", [
+        (rb_batch(tap="post"), [0.0], [0.0], "tap 'pre'"),
+        (rb_batch(norms=None), [0.0], [0.0], "without previous-layer norms"),
+        (rb_batch(layer=1), [0.0], [0.0], "layer >= 2"),
+        (rb_batch(norms=(1.0, np.nan, 2.0, 0.5)), [0.0], [0.0], "needs finite values"),
+        (rb_batch(), [0.0, np.inf], [0.0], "needs finite values"),
+        (rb_batch(norms=(1.0, -0.5, 2.0, 0.5)), [0.0], [0.0], "non-negative"),
+        (rb_batch(norms=(1.0,)), [0.0], [0.0], "n >= 2"),
+        (rb_batch(), [], [0.0], "non-empty"),
+        (rb_batch(), [0.0], [], "non-empty"),
+        (rb_batch(), [0.0, 0.0], [0.0], "strictly increasing"),
+        (rb_batch(), [0.0], [0.5, -0.5], "strictly increasing"),
+    ], ids=["post_tap", "no_norms", "layer_1", "nan_norm", "inf_threshold", "negative_norm",
+            "one_sample", "empty_z1", "empty_z2", "repeated_z1", "decreasing_z2"])
+    def test_rejected(self, batch, z1s, z2s, match):
+        with pytest.raises(ValueError, match=match):
+            rao_blackwell_grid(batch, z1s, z2s)
+
+    def test_checks_run_in_order(self):
+        # each batch mends the one before's first fault and keeps the later ones
+        steps = [(rb_batch(tap="post", layer=1, norms=None), "tap 'pre'"),
+                 (rb_batch(layer=1, norms=None), "previous-layer norms"),
+                 (rb_batch(layer=1, norms=(np.nan, -1.0, 1.0, 1.0)), "layer >= 2"),
+                 (rb_batch(norms=(np.nan, -1.0, 1.0, 1.0)), "finite"),
+                 (rb_batch(norms=(0.0, -1.0, 1.0, 1.0)), "non-negative")]
+        for batch, match in steps:
+            with pytest.raises(ValueError, match=match):
+                rao_blackwell_grid(batch, [0.0], [0.0])
+        assert rao_blackwell_grid(rb_batch(), [0.0], [0.0]).n == 4
 
 
 class TestPdProfile:
@@ -609,7 +665,7 @@ def bits(result):
     """Every float an estimator returns, as bytes, so that equal means bitwise equal."""
     if isinstance(result, estimators.DeltaGrid):
         return b"".join(a.tobytes() for a in (result.value, result.std_error,
-                                              result.null_std_error))
+                                              result.null_std_error) if a is not None)
     return np.float64(result.value).tobytes() + np.float64(result.std_error).tobytes()
 
 
@@ -639,6 +695,7 @@ def side_by_side_cases(n):
         for z1, z2 in ((0.0, 0.0), (0.0, 0.75), (-0.5, 1.25)):
             cases.append((f"rb_{prior.family}_{z1}_{z2}",
                           lambda b=pre, z1=z1, z2=z2: rao_blackwell_delta(b, z1, z2)))
+        cases.append((f"rb_grid_{prior.family}", lambda b=pre: rao_blackwell_grid(b, z[::2], z)))
     return cases
 
 

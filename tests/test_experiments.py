@@ -388,13 +388,20 @@ class TestSignRule:
         with pytest.raises(ValueError, match="null_std_error"):
             experiments._sign_scores(grid)
 
+    def test_rao_blackwell_grid_is_rejected(self):
+        # its cells are covariances of survival rows, with no SE at zero dependence
+        y = np.abs(np.random.default_rng(5).standard_normal(100))
+        batch = SampleBatch(np.zeros(100), np.zeros(100), 2, "pre", PriorSpec(), y)
+        with pytest.raises(ValueError, match="null_std_error"):
+            experiments._sign_scores(est.rao_blackwell_grid(batch, [0.0], [0.0]))
+
     def test_flipped_theoretical_sign_fails(self, monkeypatch, base_grids):
         monkeypatch.setattr(experiments, "theoretical_sign",
                             lambda z1, z2: -theoretical_sign(z1, z2))
         assert not family(experiments._sign_scores, base_grids, 1)[0]
 
 
-POINTS = [(z1, z2) for z1 in (-0.5, 0.0, 0.5) for z2 in (-0.5, 0.0, 0.5)]
+ZS = (-0.5, 0.0, 0.5)
 
 
 class TestRaoBlackwellAgreement:
@@ -408,12 +415,24 @@ class TestRaoBlackwellAgreement:
                              seed.child(9, h), want_norms=True, workers=2) for h in (2, 5)]
 
     def rb_scores(self, batch):
-        return experiments._rb_scores(batch, POINTS)
+        return experiments._rb_scores(batch, ZS)
 
     def test_healthy_batches_pass(self, batches):
         ok, detail = family(self.rb_scores, batches, 2)
         assert detail["threshold"] == pytest.approx(4.1670, abs=1e-4)
         assert ok and detail["tails"] == 36
+
+    def test_scores_are_the_scalar_gaps_in_point_order(self, batches):
+        # z1 outer, z2 inner: the order and the bits of one scalar call per point
+        for batch in batches:
+            want = []
+            for z1 in ZS:
+                for z2 in ZS:
+                    rb = est.rao_blackwell_delta(batch, z1, z2)
+                    ind = est.delta_upper(batch, z1, z2)
+                    want.append(experiments._z(rb.value - ind.value,
+                                               np.hypot(rb.std_error, ind.std_error)))
+            assert self.rb_scores(batch).tobytes() == np.array(want).tobytes()
 
     def test_doubled_norms_fail(self, batches):
         wrong = [dataclasses.replace(b, prev_norms=2.0 * b.prev_norms) for b in batches]

@@ -9,6 +9,7 @@ import bnndep
 from bnndep import sampling
 
 SOURCE = Path(bnndep.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 MAX_LINE = 99
 
 PUBLIC_NAMES = [
@@ -16,10 +17,10 @@ PUBLIC_NAMES = [
     "EstimateWithError", "GridRange", "GridSummary", "IDENTITY", "NetworkConfig",
     "PdProfile", "PriorSpec", "RELU", "SIGMOID", "SampleBatch", "SeedSpec", "SweepSpec",
     "TANH", "acceptance_suite", "analytic_delta_zero", "brute_force_tau", "combine_copies",
-    "conditional_exceedance", "covariance", "delta_grid", "delta_lower", "delta_upper",
-    "elu", "enumerate_exact_delta", "generate_input", "kendall_tau", "pd_profile",
-    "rao_blackwell_delta", "run_sweep", "sample_layer", "sample_taps", "sample_units",
-    "spearman_rho", "summarize", "toy_relu_net", "uniform_config",
+    "covariance", "delta_grid", "delta_lower", "delta_upper", "elu",
+    "enumerate_exact_delta", "generate_input", "kendall_tau", "pd_profile",
+    "rao_blackwell_delta", "rao_blackwell_grid", "run_sweep", "sample_layer", "sample_taps",
+    "sample_units", "spearman_rho", "summarize", "toy_relu_net", "uniform_config",
 ]
 
 # numpy's generator and seed-sequence constructors, and the standard library's random module
@@ -60,3 +61,10 @@ def test_no_sampler_takes_a_replica():
     assert [f.__name__ for f in samplers] == ["sample_layer", "sample_taps", "sample_units"]
     for f in [*samplers, sampling._sample]:
         assert "replica" not in inspect.signature(f).parameters, f.__name__
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library" runs as written, so it cannot drift from the API
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
