@@ -359,9 +359,10 @@ def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
 
     Given the previous-layer norm y, an elliptical prior puts P(u >= z | y) at its family's
     survival at z / y, normal or t; where y = 0 it is 1 for z <= 0 and 0 above.  Each
-    threshold's survival row is computed once, and cell (a, b) is the sample covariance of
-    rows z1[a] and z2[b]: it estimates the upper-tail :func:`delta_grid` cell with
-    never-larger asymptotic variance.  Tap ``"pre"`` only; ``null_std_error`` is None.
+    distinct threshold's survival row is computed once, for both axes, and cell (a, b) is
+    the sample covariance of rows z1[a] and z2[b]: it estimates the upper-tail
+    :func:`delta_grid` cell with never-larger asymptotic variance.  Tap ``"pre"`` only;
+    ``null_std_error`` is None.
     """
     z1, z2 = _thresholds(z1_values, z2_values)
     if batch.tap != "pre":
@@ -374,8 +375,12 @@ def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
     n = _sample_count("Rao-Blackwell estimation", y, finite=(z1, z2))
     if np.any(y < 0):
         raise ValueError("the conditioning norm must be non-negative")
-    rows1, rows2 = _pair(lambda zs: [_norm_survival(batch.prior, z, y) for z in zs], z1, z2, n)
-    cells = [_cov_with_se(r1, r2, n) for r1 in rows1 for r2 in rows2]
+    zs = np.union1d(z1, z2)             # a row depends only on its threshold's value
+    half = (zs.size + 1) // 2
+    a, b = _pair(lambda part: [_norm_survival(batch.prior, z, y) for z in part],
+                 zs[:half], zs[half:], n)
+    rows, i1, i2 = a + b, np.searchsorted(zs, z1), np.searchsorted(zs, z2)
+    cells = [_cov_with_se(rows[i], rows[j], n) for i in i1 for j in i2]
     value, se = np.array([(c.value, c.std_error) for c in cells]).T.reshape(2, z1.size, z2.size)
     return DeltaGrid(z1, z2, value, se, n)
 

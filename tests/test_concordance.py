@@ -19,6 +19,7 @@ from bnndep.estimators import (
     spearman_rho,
     spearman_rho_arrays,
 )
+from bnndep.exact import _TAU_ROWS as ROWS
 from bnndep.exact import brute_force_tau
 from bnndep.network import PriorSpec
 from bnndep.sampling import SampleBatch
@@ -145,6 +146,10 @@ class TestMidRanks:
         assert checked >= 70
 
 
+EXTREME_FLOATS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0),
+                           1e308, -1e308])
+
+
 def pair_loop_tau(u, v):
     """tau-a by a pure-Python loop over pairs i < j."""
     ul, vl, n = np.asarray(u).tolist(), np.asarray(v).tolist(), len(u)
@@ -186,13 +191,16 @@ class TestAlgorithmEquivalence:
         with pytest.raises(ValueError):
             brute_force_tau(big, big)
 
-    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 513])
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_brute_force_equals_pair_loop(self, n, tied):
-        # sizes on both sides of the oracle's 256-row blocks
+    @pytest.mark.parametrize("n", [2, 3, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    @pytest.mark.parametrize("data", ["normal", "tied_integers", "extreme_floats"])
+    def test_brute_force_equals_pair_loop(self, n, data):
+        # sizes on both sides of the oracle's row blocks
         rng = np.random.default_rng(n)
-        if tied:
+        if data == "tied_integers":
             u, v = rng.integers(0, max(2, n // 8), (2, n)).astype(float)
+        elif data == "extreme_floats":
+            # signed zeros tie, neighbouring floats stay distinct in the oracle's ranks
+            u, v = rng.choice(EXTREME_FLOATS, (2, n))
         else:
             u, v = rng.standard_normal((2, n))
         # the oracle sorts its rows, so their order must not matter

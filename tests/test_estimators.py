@@ -464,6 +464,28 @@ class TestKernelBits:
             assert (got.value.hex(), got.std_error.hex()) == tuple(w.hex() for w in want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, y), kept))
 
+    @pytest.mark.parametrize("z1s, z2s, distinct", [
+        ((-0.5, 0.0, 0.5), (-0.5, 0.0, 0.5), 3),   # criterion 9's axes
+        ([0.5], [0.5], 1),                         # a diagonal scalar cell
+        (GRID_NEG_ZERO, GRID_ZERO, 6),             # -0.0 and 0.0 are one threshold
+    ], ids=["same_axes", "diagonal_cell", "signed_zeros"])
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_rao_blackwell_grid_computes_each_distinct_threshold_once(
+            self, monkeypatch, z1s, z2s, distinct, threaded):
+        y = norms_with_dead_rows()
+        batch = SampleBatch(*np.ones((2, y.shape[0])), 2, "pre", PriorSpec(), y)
+        want = rao_blackwell_grid(batch, z1s, z2s)
+        calls = []
+        survival = estimators._norm_survival
+        monkeypatch.setattr(estimators, "_norm_survival",
+                            lambda prior, z, y: calls.append(z) or survival(prior, z, y))
+        monkeypatch.setattr(estimators, "_PAIR_MIN", 2 if threaded else y.shape[0] + 1)
+        got = rao_blackwell_grid(batch, z1s, z2s)
+        assert len(calls) == len(set(calls)) == distinct
+        assert set(calls) == set(z1s) | set(z2s)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.std_error.tobytes() == want.std_error.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3, 1000, 100_001])
     def test_covariance_keeps_its_bits_and_the_inputs(self, n):
         u, v = np.random.default_rng(n).standard_normal((2, n))
