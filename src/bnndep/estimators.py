@@ -21,6 +21,7 @@ from .sampling import SampleBatch
 UPPER = "upper"
 LOWER = "lower"
 _PAIR_MIN = 1 << 16     # samples from which an estimator's two per-unit passes run side by side
+_BIN_CHUNK = 1 << 13    # samples :func:`_bins` places per step; larger chunks raise peak memory
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,30 @@ def _thresholds(z1_values: Sequence[float], z2_values: Sequence[float]) -> tuple
     return z1, z2
 
 
+def _bins(z: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(z, x, side)`` for increasing finite z and finite x: per chunk of x,
+    the affine guess from z's end points (fmax/fmin send an overflow's NaN to bin 0), moved
+    by one where it is off, and ``searchsorted`` for the samples still off.  Only an evenly
+    spaced z places every sample by the guess; on an uneven z this is slower than searchsorted."""
+    g = z.size
+    edges = np.concatenate(([-np.inf], z, [np.inf]))
+    # bin i is right when lo[i] is below x and hi[i] is not; "below" is <= for side right
+    lo, hi = edges[:-1], edges[1:]
+    below, above = (np.less_equal, np.greater) if side == "right" else (np.less, np.greater_equal)
+    out = np.empty(x.shape, dtype=np.intp)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = (g - 1) / (z[-1] - z[0]) if g > 1 else 0.0
+        for s in range(0, x.size, _BIN_CHUNK):
+            xs, i = x[s:s + _BIN_CHUNK], out[s:s + _BIN_CHUNK]
+            i[...] = np.fmin(np.fmax((xs - z[0]) * scale + 1.0, 0.0), g)
+            i -= above(lo.take(i), xs)
+            i += below(hi.take(i), xs)
+            off = above(lo.take(i), xs) | below(hi.take(i), xs)
+            if off.any():
+                i[off] = np.searchsorted(z, xs[off], side)
+    return out
+
+
 def delta_grid(
     batch: SampleBatch,
     z1_values: Sequence[float],
@@ -165,10 +190,10 @@ def delta_grid(
 ) -> DeltaGrid:
     """Evaluate the exceedance difference on a full threshold grid.
 
-    One sorted pass over the samples feeds a 2-D threshold histogram whose
-    cumulative sums give every cell's joint and marginal counts, making a
-    G x G grid O(n log n + G^2) instead of O(G^2 n).  Each cell equals the
-    corresponding scalar estimator exactly.
+    Each sample's bin among its axis's thresholds (:func:`_bins`, O(1) on an evenly spaced
+    grid) feeds a 2-D threshold histogram whose cumulative sums give every cell's joint and
+    marginal counts, making a G x G grid O(n log G + G^2) instead of O(G^2 n).  Each cell
+    equals the corresponding scalar estimator exactly.
     """
     z1, z2 = _thresholds(z1_values, z2_values)
     u, v = batch.u, batch.v
@@ -180,7 +205,7 @@ def delta_grid(
     # bin each sample by the thresholds below it (at or below it for the upper
     # tail); prefix sums then count u <= z1[a] (lower) or u < z1[a] (upper)
     side = "left" if tail == LOWER else "right"
-    ai, bi = _pair(lambda zx: np.searchsorted(*zx, side=side), (z1, u), (z2, v), n)
+    ai, bi = _pair(lambda zx: _bins(*zx, side), (z1, u), (z2, v), n)
     # the flat bin index, built in place so no n-length temporary joins ai and bi
     ai *= g2 + 1
     ai += bi
@@ -227,7 +252,8 @@ def covariance(batch: SampleBatch) -> EstimateWithError:
 
 def _strict_inversions(arr: np.ndarray, width: int = 1) -> int:
     """Number of pairs i < j with arr[i] > arr[j], for integers arr >= 0 of a power-of-two
-    length whose blocks of ``width`` are each sorted.  arr ends sorted.
+    length whose blocks of ``width`` are each sorted.  arr ends sorted.  Its dtype must hold
+    the tagged values up to 2 max(arr) + 1 (int32 below 2**30); positions sum in int64.
 
     Bottom-up merge sort: each level tags every value with its half in the
     low bit (0 left, 1 right), so one sort along the rows merges all block
@@ -292,8 +318,11 @@ def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     key = np.sort(ru * n + rv)
     del ru, rv
     tied_both = _tie_pair_count(np.diff(np.flatnonzero(_run_starts(key))))
-    # v's ranks in (u, v) order, padded to a power of two with n: above every rank, no inversions
-    key = np.concatenate((key % n, np.full((1 << (n - 1).bit_length()) - n, n)))
+    # v's ranks in (u, v) order, padded to a power of two with n: above every rank, no
+    # inversions; int32 when the merge's tagged values, up to 2n + 1, fit it
+    padded = np.full(1 << (n - 1).bit_length(), n, np.int32 if 2 * n + 1 < 2**31 else np.int64)
+    padded[:n] = key % n
+    key = padded
     # from _PAIR_MIN up the two halves are merged side by side, then together; below, key is one
     h = key.shape[0] // (2 if n >= _PAIR_MIN else 1)
     discordant = sum(_pair(_strict_inversions, key[:h], key[h:], n)) + _strict_inversions(key, h)
@@ -339,18 +368,23 @@ def spearman_rho(batch: SampleBatch) -> EstimateWithError:
 # Rao-Blackwellized exceedance differences
 # ---------------------------------------------------------------------------
 
-def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
-    """Survival of the prior's family at z / y, for checked norms y; 1 or 0 where y = 0."""
+def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Survival of the prior's family at z / y, for checked norms y; 1 or 0 where y = 0.
+    Written into ``out``, a new array when None."""
     from scipy.special import ndtr, stdtr
     if prior.family not in (GAUSSIAN_IID, GAUSSIAN_EQUICORRELATED, STUDENT_T):
         raise ValueError(f"no closed-form conditional exceedance for {prior.family!r}")
     survival = partial(stdtr, prior.nu) if prior.family == STUDENT_T else ndtr
+    out = np.empty(y.shape) if out is None else out
     if z == 0:                          # survival(0) once, not a survival pass over y
-        return np.where(y > 0, survival(0.0), 1.0)
+        np.copyto(out, 1.0)
+        np.copyto(out, survival(0.0), where=y > 0)
+        return out
     # -z / 0 is -inf above z = 0 and +inf below it: the survivals 0 and 1 of the atom
     with np.errstate(divide="ignore"):
-        q = np.divide(-z, y, out=np.empty(y.shape))
-    return survival(q, out=q)
+        np.divide(-z, y, out=out)
+    return survival(out, out=out)   # never where=: scipy.special ufuncs corrupt memory with it
 
 
 def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
@@ -361,7 +395,8 @@ def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
     survival at z / y, normal or t; where y = 0 it is 1 for z <= 0 and 0 above.  Each
     distinct threshold's survival row is computed once, for both axes, and cell (a, b) is
     the sample covariance of rows z1[a] and z2[b]: it estimates the upper-tail
-    :func:`delta_grid` cell with never-larger asymptotic variance.  Tap ``"pre"`` only;
+    :func:`delta_grid` cell with never-larger asymptotic variance.  All rows are held at
+    once, n float64s per distinct threshold of the two axes.  Tap ``"pre"`` only;
     ``null_std_error`` is None.
     """
     z1, z2 = _thresholds(z1_values, z2_values)
@@ -375,12 +410,12 @@ def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
     n = _sample_count("Rao-Blackwell estimation", y, finite=(z1, z2))
     if np.any(y < 0):
         raise ValueError("the conditioning norm must be non-negative")
-    zs = np.union1d(z1, z2)             # a row depends only on its threshold's value
-    half = (zs.size + 1) // 2
-    a, b = _pair(lambda part: [_norm_survival(batch.prior, z, y) for z in part],
-                 zs[:half], zs[half:], n)
-    rows, i1, i2 = a + b, np.searchsorted(zs, z1), np.searchsorted(zs, z2)
-    cells = [_cov_with_se(rows[i], rows[j], n) for i in i1 for j in i2]
+    # a row depends only on its threshold's value; index maps each axis entry to its row
+    zs, index = np.unique(np.concatenate((z1, z2)), return_inverse=True)
+    rows = [np.empty(n) for _ in zs]    # survival is elementwise: each pass fills a half
+    _pair(lambda h: [_norm_survival(batch.prior, z, y[h], row[h]) for z, row in zip(zs, rows)],
+          slice(None, n // 2), slice(n // 2, None), n)
+    cells = [_cov_with_se(rows[i], rows[j], n) for i in index[:z1.size] for j in index[z1.size:]]
     value, se = np.array([(c.value, c.std_error) for c in cells]).T.reshape(2, z1.size, z2.size)
     return DeltaGrid(z1, z2, value, se, n)
 

@@ -220,6 +220,24 @@ class TestAlgorithmEquivalence:
         tau = kendall_tau_arrays(u, v).value
         assert tau == brute_force_tau(u, v) == pair_loop_tau(u, v)
 
+    @pytest.mark.parametrize("size", [2, 256, estimators._PAIR_MIN // 2, estimators._PAIR_MIN,
+                                      2 * estimators._PAIR_MIN])
+    @pytest.mark.parametrize("halves", [False, True], ids=["from_singles", "two_sorted_halves"])
+    def test_int32_merge_equals_int64_merge(self, size, halves):
+        # tau's padded keys: tied ranks below n, then the pad value n up to the power of two
+        rng = np.random.default_rng(size)
+        n = size - size // 3
+        keys = np.full(size, n)
+        keys[:n] = rng.integers(0, max(1, n // 4), n)
+        width = size // 2 if halves else 1
+        if halves:                      # kendall_tau_arrays' last merge: two sorted halves
+            keys = np.sort(keys.reshape(2, width), axis=1).ravel()
+        k32, k64 = keys.astype(np.int32), keys.astype(np.int64)
+        count = estimators._strict_inversions(k64, width)
+        assert estimators._strict_inversions(k32, width) == count
+        assert np.array_equal(k32, k64)
+        assert np.array_equal(k64, np.sort(keys))
+
     def test_lists_accepted(self):
         u, v = [1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]
         assert kendall_tau_arrays(u, v).value == brute_force_tau(u, v) == 2 / 3

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import dataclasses
 import itertools
@@ -475,14 +476,22 @@ class TestKernelBits:
         y = norms_with_dead_rows()
         batch = SampleBatch(*np.ones((2, y.shape[0])), 2, "pre", PriorSpec(), y)
         want = rao_blackwell_grid(batch, z1s, z2s)
-        calls = []
+        calls = []                      # list.append is atomic across the two threads
         survival = estimators._norm_survival
-        monkeypatch.setattr(estimators, "_norm_survival",
-                            lambda prior, z, y: calls.append(z) or survival(prior, z, y))
+
+        def counting(prior, z, y, out):
+            calls.append((z, y.size))
+            return survival(prior, z, y, out)
+
+        monkeypatch.setattr(estimators, "_norm_survival", counting)
         monkeypatch.setattr(estimators, "_PAIR_MIN", 2 if threaded else y.shape[0] + 1)
         got = rao_blackwell_grid(batch, z1s, z2s)
-        assert len(calls) == len(set(calls)) == distinct
-        assert set(calls) == set(z1s) | set(z2s)
+        evaluated = collections.Counter()   # norm elements evaluated, per threshold
+        for z, size in calls:
+            evaluated[z] += size
+        assert len(evaluated) == distinct
+        assert set(evaluated) == set(z1s) | set(z2s)
+        assert set(evaluated.values()) == {y.shape[0]}
         assert got.value.tobytes() == want.value.tobytes()
         assert got.std_error.tobytes() == want.std_error.tobytes()
 
@@ -673,6 +682,57 @@ class TestDeltaGrid:
             assert grid.value[1, 2] == e.value
 
 
+EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+CHUNK_SIZES = [8191, 8192, 8193]        # one sample either side of _bins' chunk
+
+
+BIN_GRIDS = {                           # increasing threshold grids, even, uneven and extreme
+    "even": np.linspace(-1.0, 1.0, 41), "one_value": np.array([0.25]),
+    "cubes": np.sort(np.random.default_rng(61).standard_normal(41)) ** 3,
+    "full_range": np.array([-1e308, 0.0, 1e308]), "subnormal": np.array([-5e-324, -0.0, 5e-324]),
+    "extremes": np.unique(EXTREMES),
+}
+
+
+class TestBins:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30,
+                    unique=True),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=200),
+           st.sampled_from(["left", "right"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_searchsorted(self, zs, xs, side):
+        z = np.unique(np.array(zs))     # unique also merges -0.0 with 0.0
+        x = np.concatenate((xs, z, -z))
+        assert np.array_equal(estimators._bins(z, x, side), np.searchsorted(z, x, side))
+
+    @pytest.mark.parametrize("z", BIN_GRIDS.values(), ids=BIN_GRIDS.keys())
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_fixed_grids_equal_searchsorted(self, z, size, side):
+        rng = np.random.default_rng(size)
+        # the thresholds, their negatives and the extremes, then values on and past the grid
+        spread = 1.5 * np.abs(z).max() * rng.uniform(-1.0, 1.0, size)
+        x = np.concatenate((z, -z, EXTREMES, spread))[:size]
+        x = x[rng.permutation(size)]
+        got = estimators._bins(z, x, side)
+        assert got.dtype == np.intp and got.shape == x.shape
+        assert np.array_equal(got, np.searchsorted(z, x, side))
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("tail", [UPPER, LOWER])
+    def test_grid_cells_equal_scalar_estimates_bitwise(self, size, tail):
+        z = np.sort(np.random.default_rng(62).standard_normal(7)) ** 3
+        rng = np.random.default_rng(size)
+        u, v = rng.choice(np.concatenate((z, rng.standard_normal(50))), (2, size))
+        batch = make_batch(u, v)
+        grid = delta_grid(batch, z, z, tail=tail)
+        scalar = delta_upper if tail == UPPER else delta_lower
+        for (a, za), (b, zb) in itertools.product(enumerate(z), repeat=2):
+            e = scalar(batch, za, zb)
+            assert grid.value[a, b].tobytes() == np.float64(e.value).tobytes()
+            assert grid.std_error[a, b].tobytes() == np.float64(e.std_error).tobytes()
+
+
 class CountingPool(concurrent.futures.ThreadPoolExecutor):
     """The estimators' thread pool, counting the passes handed to a helper thread."""
 
@@ -714,7 +774,8 @@ def side_by_side_cases(n):
         cases.append((f"{name}_tied", lambda e=estimate: e(post.u, post.v)))
     for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.5)):
         pre = SampleBatch(u, v, 2, "pre", prior, post.prev_norms)
-        for z1, z2 in ((0.0, 0.0), (0.0, 0.75), (-0.5, 1.25)):
+        # one threshold (the atom's or not), 0 with a non-zero one, and two non-zero ones
+        for z1, z2 in ((0.0, 0.0), (0.5, 0.5), (0.0, 0.75), (-0.5, 1.25)):
             cases.append((f"rb_{prior.family}_{z1}_{z2}",
                           lambda b=pre, z1=z1, z2=z2: rao_blackwell_delta(b, z1, z2)))
         cases.append((f"rb_grid_{prior.family}", lambda b=pre: rao_blackwell_grid(b, z[::2], z)))
@@ -742,7 +803,7 @@ class TestSideBySidePasses:
         assert all(threaded.values())
         assert got == serial
 
-    @pytest.mark.parametrize("offset, threaded", [(-1, False), (0, True)])
+    @pytest.mark.parametrize("offset, threaded", [(-1, False), (0, True), (1, True)])
     def test_size_constant_is_where_threading_starts(self, monkeypatch, offset, threaded):
         n = estimators._PAIR_MIN + offset
         got, was_threaded = run_cases(monkeypatch, n, estimators._PAIR_MIN)
