@@ -75,18 +75,21 @@ class PdProfile:
     min_left: Optional[float]
 
 
+def _checked_n(what: str, n: int, *values) -> int:
+    """n, after checking n >= 2 and that the values (thresholds, raw samples) are finite."""
+    if n < 2:
+        raise ValueError(f"{what} needs n >= 2")
+    if not _finite(*values):
+        raise ValueError(f"{what} needs finite values")
+    return n
+
+
 def _sample_count(what: str, *samples: np.ndarray, finite: tuple = ()) -> int:
-    """Common length n of the 1-D sample arrays, after checking n >= 2 and that the
-    samples and the ``finite`` values (thresholds, other columns) are all finite."""
+    """Common length n of raw 1-D samples, after :func:`_checked_n` on them and ``finite``."""
     shape = np.shape(samples[0])
     if len(shape) != 1 or any(np.shape(s) != shape for s in samples):
         raise ValueError(f"{what} needs 1-D samples of equal length")
-    n = shape[0]
-    if n < 2:
-        raise ValueError(f"{what} needs n >= 2")
-    if not _finite(*samples, *finite):
-        raise ValueError(f"{what} needs finite values")
-    return n
+    return _checked_n(what, shape[0], *samples, *finite)
 
 
 def _pair(f: Callable, a, b, n: int) -> tuple:
@@ -127,9 +130,9 @@ def _delta_from_counts(c11, c1, c2, n: int):
     return value, se
 
 
-def _delta_xy(u: np.ndarray, v: np.ndarray, z1: float, z2: float, tail: str) -> EstimateWithError:
-    n = _sample_count("exceedance-difference estimation", u, v, finite=(z1, z2))
-    m1, m2 = (u >= z1, v >= z2) if tail == UPPER else (u <= z1, v <= z2)
+def _delta_xy(batch: SampleBatch, z1: float, z2: float, tail: str) -> EstimateWithError:
+    n = _checked_n("exceedance-difference estimation", batch.n, z1, z2)
+    m1, m2 = (batch.u >= z1, batch.v >= z2) if tail == UPPER else (batch.u <= z1, batch.v <= z2)
     c11 = int(np.count_nonzero(m1 & m2))
     c1 = int(np.count_nonzero(m1))
     c2 = int(np.count_nonzero(m2))
@@ -139,12 +142,12 @@ def _delta_xy(u: np.ndarray, v: np.ndarray, z1: float, z2: float, tail: str) -> 
 
 def delta_upper(batch: SampleBatch, z1: float, z2: float) -> EstimateWithError:
     """Plug-in estimate of P(u >= z1, v >= z2) - P(u >= z1) P(v >= z2)."""
-    return _delta_xy(batch.u, batch.v, z1, z2, UPPER)
+    return _delta_xy(batch, z1, z2, UPPER)
 
 
 def delta_lower(batch: SampleBatch, z1: float, z2: float) -> EstimateWithError:
     """Lower-tail analogue of :func:`delta_upper`, with both events <=."""
-    return _delta_xy(batch.u, batch.v, z1, z2, LOWER)
+    return _delta_xy(batch, z1, z2, LOWER)
 
 
 def _thresholds(z1_values: Sequence[float], z2_values: Sequence[float]) -> tuple:
@@ -197,7 +200,7 @@ def delta_grid(
     """
     z1, z2 = _thresholds(z1_values, z2_values)
     u, v = batch.u, batch.v
-    n = _sample_count("exceedance-difference estimation", u, v, finite=(z1, z2))
+    n = _checked_n("exceedance-difference estimation", batch.n, z1, z2)
     if tail not in (UPPER, LOWER):
         raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
 
@@ -229,7 +232,7 @@ def delta_grid(
 # ---------------------------------------------------------------------------
 
 def _cov_with_se(x: np.ndarray, y: np.ndarray, n: int) -> EstimateWithError:
-    """Covariance of n checked pairs (see :func:`_sample_count`); x and y are not written."""
+    """Covariance of n checked pairs (see :func:`_checked_n`); x and y are not written."""
     prod, yc = _pair(lambda a: a - a.mean(), x, y, n)
     prod *= yc
     value = prod.sum() / (n - 1)
@@ -242,8 +245,7 @@ def _cov_with_se(x: np.ndarray, y: np.ndarray, n: int) -> EstimateWithError:
 
 def covariance(batch: SampleBatch) -> EstimateWithError:
     """Unbiased sample covariance of the unit pair, influence-function SE."""
-    return _cov_with_se(batch.u, batch.v,
-                        _sample_count("covariance estimation", batch.u, batch.v))
+    return _cov_with_se(batch.u, batch.v, _checked_n("covariance estimation", batch.n))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +290,35 @@ def _tie_pair_count(runs: np.ndarray) -> int:
 
 
 def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 0-based ranks and run edges of x; ties share a rank, so argsort need not be stable."""
+    """Dense 0-based ranks and run edges of x; ties share a rank, so argsort need not be stable.
+    Zeros (-0.0 too) are one run between the negatives and the positives.  From an eighth of x
+    up (ReLU and dead-layer atoms), only the first zero stands for that run in the argsort;
+    below that share the bookkeeping costs more than the shorter sort saves."""
+    n = x.size
+    zeros = n - np.count_nonzero(x)
+    squeeze = zeros > 0 and 8 * zeros >= n
+    if squeeze:
+        keep = x != 0
+        first = np.argmin(keep)         # also its index among the kept values
+        keep[first] = True
+        x = x[keep]
     order = np.argsort(x)
     starts = _run_starts(x[order])
+    del x
     work = np.cumsum(starts[:-1], dtype=np.int64)
     work -= 1
     ranks = np.empty_like(work)
     ranks[order] = work
     del order, work
-    return ranks, np.flatnonzero(starts)
+    if squeeze:                         # every zero takes its run's rank
+        zero_rank = ranks[first]
+        ranks, kept_ranks = np.full(n, zero_rank), ranks
+        ranks[keep] = kept_ranks
+        del keep, kept_ranks            # freed before edges: a lower peak heap
+    edges = np.flatnonzero(starts)
+    if squeeze:
+        edges[zero_rank + 1:] += zeros - 1
+    return ranks, edges
 
 
 def kendall_tau_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
@@ -336,11 +358,8 @@ def kendall_tau(batch: SampleBatch) -> EstimateWithError:
     return kendall_tau_arrays(batch.u, batch.v)
 
 
-def spearman_rho_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
+def _spearman_rho(u: np.ndarray, v: np.ndarray, n: int) -> EstimateWithError:
     """Pearson correlation of mid-ranks; SE under the independence null."""
-    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    n = _sample_count("concordance estimation", u, v)
-
     def mid_ranks(x):                   # scipy.stats.rankdata(x, "average") bit for bit
         ranks, edges = _ranks(x)
         mid = edges[1:] + 1
@@ -360,8 +379,14 @@ def spearman_rho_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
     return EstimateWithError(rho, float(se), n)
 
 
+def spearman_rho_arrays(u: np.ndarray, v: np.ndarray) -> EstimateWithError:
+    """:func:`spearman_rho` of two raw sample arrays."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    return _spearman_rho(u, v, _sample_count("concordance estimation", u, v))
+
+
 def spearman_rho(batch: SampleBatch) -> EstimateWithError:
-    return spearman_rho_arrays(batch.u, batch.v)
+    return _spearman_rho(batch.u, batch.v, _checked_n("concordance estimation", batch.n))
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +432,7 @@ def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
     if batch.layer < 2:
         raise ValueError("conditioning on the previous layer needs layer >= 2")
     y = batch.prev_norms
-    n = _sample_count("Rao-Blackwell estimation", y, finite=(z1, z2))
-    if np.any(y < 0):
-        raise ValueError("the conditioning norm must be non-negative")
+    n = _checked_n("Rao-Blackwell estimation", batch.n, z1, z2)
     # a row depends only on its threshold's value; index maps each axis entry to its row
     zs, index = np.unique(np.concatenate((z1, z2)), return_inverse=True)
     rows = [np.empty(n) for _ in zs]    # survival is elementwise: each pass fills a half

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import STUDENT_T, NetworkConfig, PriorSpec, _integer
+from .network import STUDENT_T, NetworkConfig, PriorSpec, _finite, _integer
 
 # Stream labels, the first key of SeedSpec.stream; distinct labels give independent streams.
 STREAM_INPUT = 0
@@ -79,6 +79,11 @@ class SampleBatch:
     ``prev_norms`` (present when requested) holds the scatter-weighted norm
     of the previous layer's post-activation vector for each draw, the scalar
     that the conditional exceedance probability of a unit depends on.
+
+    Built once checked (1-D, equal lengths, finite, norms >= 0), it holds read-only float64
+    views of the arrays (of a float64 copy for other dtypes), so an estimator that writes into
+    one raises.  The check covers the arrays as passed: the caller's own references stay
+    writable, and writes through them go unchecked.
     """
 
     u: np.ndarray
@@ -93,6 +98,14 @@ class SampleBatch:
         if len(shapes) != 1 or len(shapes.pop()) != 1:
             raise ValueError("a sample batch needs 1-D samples of equal length")
         _check_tap(self.tap)
+        for name in ("u", "v") + (() if self.prev_norms is None else ("prev_norms",)):
+            view = np.asarray(getattr(self, name), dtype=np.float64).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+            if not _finite(view):
+                raise ValueError("a sample batch needs finite values")
+        if self.prev_norms is not None and np.any(self.prev_norms < 0):
+            raise ValueError("the conditioning norm must be non-negative")
 
     @property
     def n(self) -> int:

@@ -2,8 +2,9 @@
 
 The explicit-weight forward pass and weight sampler are the references for
 the projection sampler, the bootstrap SE is the reference for the closed-form
-standard errors, and the rational enumerator is the reference for
-``bnndep.exact.enumerate_exact_delta``.
+standard errors, the rational enumerator is the reference for
+``bnndep.exact.enumerate_exact_delta``, and the argsort of every value is the
+reference for ``bnndep.estimators._ranks``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from bnndep.estimators import _sample_count
+from bnndep.estimators import _run_starts, _sample_count
 from bnndep.network import (
     GAUSSIAN_EQUICORRELATED,
     STUDENT_T,
@@ -100,6 +101,20 @@ def bootstrap_std_error(
         idx = rng.integers(0, n, n)
         vals[b] = statistic(u[idx], v[idx])
     return float(vals.std(ddof=1))
+
+
+def argsort_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 0-based ranks and run edges of x from one argsort of all its values, zeros included.
+
+    The form ``_ranks`` had before it sorted a large zero run as one value.
+    """
+    order = np.argsort(x)
+    starts = _run_starts(x[order])
+    work = np.cumsum(starts[:-1], dtype=np.int64)
+    work -= 1
+    ranks = np.empty_like(work)
+    ranks[order] = work
+    return ranks, np.flatnonzero(starts)
 
 
 def rational_pre_pairs(widths, input, layer, unit_pair) -> list[tuple[Fraction, Fraction]]:

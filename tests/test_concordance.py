@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from reference import argsort_ranks
+
 import bnndep
 from bnndep import estimators
 from bnndep.estimators import (
@@ -21,8 +23,8 @@ from bnndep.estimators import (
 )
 from bnndep.exact import _TAU_ROWS as ROWS
 from bnndep.exact import brute_force_tau
-from bnndep.network import PriorSpec
-from bnndep.sampling import SampleBatch
+from bnndep.network import PriorSpec, uniform_config
+from bnndep.sampling import SampleBatch, SeedSpec, generate_input, sample_units
 
 
 def make_batch(u, v):
@@ -144,6 +146,77 @@ class TestMidRanks:
                 assert spearman_rho_arrays(u, v).value.hex() == expected.hex()
                 checked += 1
         assert checked >= 70
+
+
+ZERO_RUN_CASES = {
+    "one_zero": [0.0], "one_value": [-2.5], "two_zeros": [0.0, -0.0], "zero_and_one": [1.0, 0.0],
+    "two_values": [3.0, -3.0], "all_zeros": [0.0] * 9, "no_zeros": [2.0, -1.0, 2.0, 7.0, -1.0],
+    "only_negatives": [-1.0, -3.0, -1.0, -2.0], "negatives_and_zeros": [-1.0, 0.0, -2.0, 0.0],
+    "signed_zeros": [0.0, -0.0, 1.0, -0.0, -1.0, 0.0, 0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, 0.0, -0.0, 5e-324, 0.0, -5e-324, 0.0],
+    "positives_and_zeros": [0.0, 4.0, 0.0, 4.0, 1.0, 0.0],
+    # one zero in 16 is below the eighth from which the zeros are sorted as one; two are not
+    "below_an_eighth": [0.0] + list(np.arange(1.0, 16.0)),
+    "an_eighth": [0.0, -0.0] + list(np.arange(-7.0, 7.0)),
+}
+
+
+def ranks_agree(x):
+    x = np.asarray(x, dtype=np.float64)
+    (ranks, edges), (want_ranks, want_edges) = _ranks(x), argsort_ranks(x)
+    assert ranks.dtype == want_ranks.dtype == np.int64
+    assert np.array_equal(ranks, want_ranks) and np.array_equal(edges, want_edges)
+
+
+def atom_batches(n=20_000):
+    """Pre and ReLU-post batches of an L2H2 ReLU net: zeros from its dead first layer."""
+    x = generate_input(20, SeedSpec(7))
+    return [sample_units(uniform_config(20, 2, 2), x, 2, (0, 1), tap, n, SeedSpec(7))
+            for tap in ("pre", "post")]
+
+
+class TestZeroRun:
+    """``_ranks`` sorts a large zero run as one value; its ranks and edges stay the argsort's."""
+
+    @pytest.mark.parametrize("x", ZERO_RUN_CASES.values(), ids=ZERO_RUN_CASES.keys())
+    def test_fixed_cases_equal_the_argsort(self, x):
+        ranks_agree(x)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_argsort(self, values):
+        ranks_agree(values)
+
+    @pytest.mark.parametrize("share", [0.0, 0.001, 0.1, 0.125, 0.25, 0.63, 1.0])
+    def test_large_samples_equal_the_argsort(self, share):
+        rng = np.random.default_rng(int(1000 * share))
+        x = np.round(rng.standard_normal(100_000), 2)
+        x[rng.random(x.size) < share] = 0.0
+        x[rng.random(x.size) < share / 2] = -0.0
+        ranks_agree(x)
+
+    @pytest.mark.parametrize("zeros, sorted_size", [(1, 16), (2, 15), (16, 1)])
+    def test_zeros_are_sorted_as_one_from_an_eighth(self, monkeypatch, zeros, sorted_size):
+        sizes, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a: sizes.append(a.size) or argsort(a))
+        x = np.arange(1.0, 17.0)
+        x[:zeros] = 0.0
+        _ranks(x)
+        assert sizes == [sorted_size]
+
+    @pytest.mark.parametrize("tap", ["pre", "post"])
+    def test_concordance_keeps_its_bits_on_atoms(self, monkeypatch, tap):
+        batch = dict(zip(("pre", "post"), atom_batches()))[tap]
+        for x in (batch.u, batch.v):
+            share = np.mean(x == 0)
+            assert (0.2 < share < 0.3) if tap == "pre" else (0.55 < share < 0.7)
+        got = [kendall_tau(batch), spearman_rho(batch)]
+        monkeypatch.setattr(estimators, "_ranks", argsort_ranks)
+        want = [kendall_tau(batch), spearman_rho(batch)]
+        assert [(e.value.hex(), e.std_error.hex()) for e in got] == [
+            (e.value.hex(), e.std_error.hex()) for e in want]
 
 
 EXTREME_FLOATS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0),

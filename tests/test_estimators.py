@@ -92,11 +92,70 @@ class TestSampleShapes:
         with pytest.raises(ValueError, match="tap must be 'pre' or 'post'"):
             SampleBatch(np.zeros(3), np.zeros(3), 2, "mid", PriorSpec())
 
-    def test_batch_reads_no_values(self):
-        # NaNs pass construction: values are the estimators' to check
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["u", "v", "prev_norms"])
+    def test_batch_rejects_non_finite_values_when_built(self, bad, where):
+        # NaNs used to pass construction and were left to every estimator to check
+        arrays = {"u": np.zeros(4), "v": np.ones(4), "prev_norms": np.ones(4)}
+        arrays[where][2] = bad
+        with pytest.raises(ValueError, match="a sample batch needs finite values"):
+            SampleBatch(arrays["u"], arrays["v"], 2, "pre", PriorSpec(), arrays["prev_norms"])
         nan = np.broadcast_to(np.nan, (4,))
-        assert SampleBatch(nan, nan, 2, "pre", PriorSpec(), nan).n == 4
+        with pytest.raises(ValueError, match="a sample batch needs finite values"):
+            SampleBatch(nan, nan, 2, "pre", PriorSpec(), nan)
         assert SampleBatch([0.0, 1.0], [1.0, 0.0], 2, "pre", PriorSpec()).prev_norms is None
+
+    @pytest.mark.parametrize("name", ["u", "v", "prev_norms"])
+    def test_batch_arrays_are_read_only_views(self, name):
+        arrays = {"u": np.zeros(4), "v": np.ones(4), "prev_norms": np.ones(4)}
+        batch = SampleBatch(arrays["u"], arrays["v"], 2, "pre", PriorSpec(), arrays["prev_norms"])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(batch, name)[1] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(batch, name).sort()
+        # a view, not a copy: the caller's own reference stays writable and is not rechecked
+        assert np.shares_memory(getattr(batch, name), arrays[name])
+        arrays[name][1] = 5.0
+        assert getattr(batch, name)[1] == 5.0
+
+    def test_overflowing_sum_of_copies_rejected_when_built(self):
+        big = make_batch(np.full(4, 1e308), np.ones(4))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="a sample batch needs finite values"):
+                combine_copies(big, big, SUM_OF_COPIES)
+        assert combine_copies(big, big, DIFF_OF_COPIES).u.tolist() == [0.0] * 4
+
+    def test_batch_estimators_check_no_sample_array(self, monkeypatch):
+        # the batch checked its samples and norms when it was built; only thresholds remain
+        n = 1000
+        rng = np.random.default_rng(3)
+        batch = make_batch(*rng.standard_normal((2, n)), prev_norms=np.abs(rng.standard_normal(n)))
+        seen = []
+        finite = estimators._finite
+
+        def recording(*values):
+            seen.extend(np.size(v) for v in values)
+            return finite(*values)
+
+        monkeypatch.setattr(estimators, "_finite", recording)
+        z = np.linspace(-1.0, 1.0, 5)
+        calls = {
+            "delta_upper": lambda: delta_upper(batch, 0.5, -0.5),
+            "delta_lower": lambda: delta_lower(batch, 0.5, -0.5),
+            "delta_grid": lambda: [delta_grid(batch, z, z, tail) for tail in (UPPER, LOWER)],
+            "covariance": lambda: covariance(batch),
+            "spearman_rho": lambda: spearman_rho(batch),
+            "rao_blackwell_delta": lambda: rao_blackwell_delta(batch, 0.5, -0.5),
+            "rao_blackwell_grid": lambda: rao_blackwell_grid(batch, z, z[::2]),
+        }
+        for name, call in calls.items():
+            seen.clear()
+            call()
+            assert n not in seen, name
+        # kendall_tau alone reaches its samples' check, once, through kendall_tau_arrays
+        seen.clear()
+        kendall_tau(batch)
+        assert seen == [n, n]
 
     def test_every_constructor_builds_a_valid_batch(self):
         x = generate_input(10, SeedSpec(5))
@@ -129,11 +188,12 @@ class TestDeltaHandValues:
 
     @pytest.mark.parametrize("estimator", [delta_upper, delta_lower])
     def test_non_finite_input_rejected(self, estimator):
-        with pytest.raises(ValueError):
-            estimator(make_batch([np.nan, -1, 1, 0.5], [1, -1, 1, -0.5]), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            estimator(make_batch([0, -1, 1, 0.5], [1, -1, np.inf, -0.5]), 0.0, 0.0)
-        with pytest.raises(ValueError):
+        # non-finite samples are rejected when the batch is built, before any estimator runs
+        with pytest.raises(ValueError, match="a sample batch needs finite values"):
+            make_batch([np.nan, -1, 1, 0.5], [1, -1, 1, -0.5])
+        with pytest.raises(ValueError, match="a sample batch needs finite values"):
+            make_batch([0, -1, 1, 0.5], [1, -1, np.inf, -0.5])
+        with pytest.raises(ValueError, match="exceedance-difference estimation needs finite"):
             estimator(FOUR_CORNERS, np.nan, 0.0)
 
     def test_weak_inequality_includes_atoms(self):
@@ -280,10 +340,11 @@ class TestCovariance:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
-        with pytest.raises(ValueError, match="covariance estimation needs finite"):
-            covariance(make_batch([0.5, bad, 1.0, -1.0], [1.0, 2.0, 0.0, 1.0]))
-        with pytest.raises(ValueError, match="covariance estimation needs finite"):
-            covariance(make_batch([0.5, 2.0, 1.0, -1.0], [1.0, 2.0, bad, 1.0]))
+        # rejected when the batch is built, so covariance never sees the value
+        with pytest.raises(ValueError, match="a sample batch needs finite values"):
+            make_batch([0.5, bad, 1.0, -1.0], [1.0, 2.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="a sample batch needs finite values"):
+            make_batch([0.5, 2.0, 1.0, -1.0], [1.0, 2.0, bad, 1.0])
 
     @given(
         st.lists(st.integers(-50, 50), min_size=3, max_size=60),
@@ -317,8 +378,9 @@ class TestCovariance:
 class TestConditionalExceedance:
     """P(w'X >= z | norm y), the survival row the Rao-Blackwell estimator reads.
 
-    Its argument checks are the estimator's: see test_non_finite_norm_rejected,
-    test_negative_norm_rejected_by_rao_blackwell and test_non_finite_threshold_rejected.
+    Its norms are checked when their batch is built (test_non_finite_norm_rejected,
+    test_negative_norm_rejected_when_the_batch_is_built), its thresholds by the estimator
+    (test_non_finite_threshold_rejected).
     """
 
     def test_gaussian_median(self):
@@ -369,14 +431,14 @@ class TestRaoBlackwell:
             rao_blackwell_delta(batch, 0.0, 0.0)
 
     def test_non_finite_norm_rejected(self):
-        # a NaN norm would count as a dead layer, an infinite one as z / y = 0
+        # a NaN norm would count as a dead layer, an infinite one as z / y = 0; the batch
+        # refuses both when it is built, so no Rao-Blackwell call can see them
         for bad in (np.nan, np.inf):
             norms = np.abs(np.random.default_rng(2).standard_normal(100))
             norms[17] = bad
             for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.0)):
-                batch = SampleBatch(np.zeros(100), np.zeros(100), 2, "pre", prior, norms)
-                with pytest.raises(ValueError, match="Rao-Blackwell estimation needs finite"):
-                    rao_blackwell_delta(batch, 0.7, 0.2)
+                with pytest.raises(ValueError, match="a sample batch needs finite values"):
+                    SampleBatch(np.zeros(100), np.zeros(100), 2, "pre", prior, norms)
 
     def test_agrees_with_indicator_estimator(self):
         x = generate_input(40, SeedSpec(31))
@@ -513,10 +575,9 @@ class TestKernelBits:
         with pytest.raises(ValueError, match="Rao-Blackwell estimation needs finite"):
             rao_blackwell_grid(batch, [-1.0, 0.5], [bad])
 
-    def test_negative_norm_rejected_by_rao_blackwell(self):
-        batch = make_batch(np.zeros(4), np.zeros(4), prev_norms=np.array([1.0, 0.0, -0.5, 2.0]))
-        with pytest.raises(ValueError, match="non-negative"):
-            rao_blackwell_delta(batch, 0.5, 0.5)
+    def test_negative_norm_rejected_when_the_batch_is_built(self):
+        with pytest.raises(ValueError, match="the conditioning norm must be non-negative"):
+            make_batch(np.zeros(4), np.zeros(4), prev_norms=np.array([1.0, 0.0, -0.5, 2.0]))
 
 
 def rb_batch(tap="pre", layer=2, norms=(1.0, 0.0, 2.0, 0.5)):
@@ -530,30 +591,41 @@ class TestRaoBlackwellGridRejections:
         (rb_batch(tap="post"), [0.0], [0.0], "tap 'pre'"),
         (rb_batch(norms=None), [0.0], [0.0], "without previous-layer norms"),
         (rb_batch(layer=1), [0.0], [0.0], "layer >= 2"),
-        (rb_batch(norms=(1.0, np.nan, 2.0, 0.5)), [0.0], [0.0], "needs finite values"),
         (rb_batch(), [0.0, np.inf], [0.0], "needs finite values"),
-        (rb_batch(norms=(1.0, -0.5, 2.0, 0.5)), [0.0], [0.0], "non-negative"),
         (rb_batch(norms=(1.0,)), [0.0], [0.0], "n >= 2"),
         (rb_batch(), [], [0.0], "non-empty"),
         (rb_batch(), [0.0], [], "non-empty"),
         (rb_batch(), [0.0, 0.0], [0.0], "strictly increasing"),
         (rb_batch(), [0.0], [0.5, -0.5], "strictly increasing"),
-    ], ids=["post_tap", "no_norms", "layer_1", "nan_norm", "inf_threshold", "negative_norm",
-            "one_sample", "empty_z1", "empty_z2", "repeated_z1", "decreasing_z2"])
+    ], ids=["post_tap", "no_norms", "layer_1", "inf_threshold", "one_sample", "empty_z1",
+            "empty_z2", "repeated_z1", "decreasing_z2"])
     def test_rejected(self, batch, z1s, z2s, match):
         with pytest.raises(ValueError, match=match):
             rao_blackwell_grid(batch, z1s, z2s)
 
+    @pytest.mark.parametrize("norms, match", [
+        ((1.0, np.nan, 2.0, 0.5), "a sample batch needs finite values"),
+        ((1.0, -0.5, 2.0, 0.5), "non-negative"),
+    ], ids=["nan_norm", "negative_norm"])
+    def test_bad_norms_rejected_when_the_batch_is_built(self, norms, match):
+        # the batch checks its norms once, so the estimator never sees them
+        with pytest.raises(ValueError, match=match):
+            rb_batch(norms=norms)
+
     def test_checks_run_in_order(self):
-        # each batch mends the one before's first fault and keeps the later ones
-        steps = [(rb_batch(tap="post", layer=1, norms=None), "tap 'pre'"),
-                 (rb_batch(layer=1, norms=None), "previous-layer norms"),
-                 (rb_batch(layer=1, norms=(np.nan, -1.0, 1.0, 1.0)), "layer >= 2"),
-                 (rb_batch(norms=(np.nan, -1.0, 1.0, 1.0)), "finite"),
-                 (rb_batch(norms=(0.0, -1.0, 1.0, 1.0)), "non-negative")]
-        for batch, match in steps:
+        # each batch mends the one before's first fault and keeps the later ones; the norms'
+        # own faults (NaN, then a negative) stop the batch from being built at all
+        steps = [(dict(tap="post", layer=1, norms=None), "tap 'pre'"),
+                 (dict(layer=1, norms=None), "previous-layer norms"),
+                 (dict(layer=1, norms=(1.0, 0.0, 1.0, 1.0)), "layer >= 2"),
+                 (dict(norms=(1.0,)), "n >= 2")]
+        for kwargs, match in steps:
             with pytest.raises(ValueError, match=match):
-                rao_blackwell_grid(batch, [0.0], [0.0])
+                rao_blackwell_grid(rb_batch(**kwargs), [0.0], [0.0])
+        for norms, match in (((np.nan, -1.0, 1.0, 1.0), "finite"),
+                             ((0.0, -1.0, 1.0, 1.0), "non-negative")):
+            with pytest.raises(ValueError, match=match):
+                rb_batch(norms=norms)
         assert rao_blackwell_grid(rb_batch(), [0.0], [0.0]).n == 4
 
 
@@ -662,13 +734,13 @@ class TestDeltaGrid:
 
     @pytest.mark.parametrize("tail", [UPPER, LOWER])
     def test_non_finite_input_rejected(self, tail):
-        # a NaN sample would exceed every grid threshold and no scalar one,
-        # so the grid and delta_upper would disagree at (0, 0)
-        with pytest.raises(ValueError):
-            delta_grid(make_batch([np.nan, -1, 1, 0.5], [1, -1, 1, -0.5]), [0.0], [0.0], tail)
+        # a NaN sample would exceed every grid threshold and no scalar one, so the grid and
+        # delta_upper would disagree at (0, 0); the batch refuses it when it is built
+        with pytest.raises(ValueError, match="a sample batch needs finite values"):
+            make_batch([np.nan, -1, 1, 0.5], [1, -1, 1, -0.5])
         batch = make_batch([1, 2, 3], [1, 2, 3])
         for z1, z2 in (([0.0, np.nan], [0.0]), ([0.0], [np.nan]), ([-np.inf, 0.0], [0.0])):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="exceedance-difference estimation needs finite"):
                 delta_grid(batch, z1, z2, tail)
 
     def test_replica_grid_matches_scalar_combo(self):
