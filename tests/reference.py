@@ -3,8 +3,9 @@
 The explicit-weight forward pass and weight sampler are the references for
 the projection sampler, the bootstrap SE is the reference for the closed-form
 standard errors, the rational enumerator is the reference for
-``bnndep.exact.enumerate_exact_delta``, and the argsort of every value is the
-reference for ``bnndep.estimators._ranks``.
+``bnndep.exact.enumerate_exact_delta``, the argsort of every value is the
+reference for ``bnndep.estimators._ranks``, and the masked survival over each
+half's sorted norms is the reference for a Rao-Blackwell survival row.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import ndtr, stdtr
 
 from bnndep.estimators import _run_starts, _sample_count
 from bnndep.network import (
@@ -115,6 +117,33 @@ def argsort_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.empty_like(work)
     ranks[order] = work
     return ranks, np.flatnonzero(starts)
+
+
+def sorted_halves(y: np.ndarray) -> np.ndarray:
+    """y with each half, [0, n // 2) and [n // 2, n), sorted: a Rao-Blackwell row's order.
+
+    Zero norms (-0.0 too) lead each half.
+    """
+    h = y.shape[0] // 2
+    return np.concatenate((np.sort(y[:h]), np.sort(y[h:])))
+
+
+def masked_exceedance(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
+    """P(u >= z | norm) per norm, in y's order: the family's survival at z / y where y > 0,
+    the atom's indicator (1 for z <= 0, 0 above) where y is 0 or -0.0."""
+    def survival(q):
+        return stdtr(prior.nu, -q) if prior.family == STUDENT_T else ndtr(-q)
+
+    positive = y > 0
+    quotient = np.where(positive, z / np.where(positive, y, 1.0), 0.0)
+    return np.where(positive, survival(quotient), 1.0 if z <= 0 else 0.0)
+
+
+def rb_survival_row(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
+    """The survival row ``rao_blackwell_grid`` sums for threshold z: :func:`masked_exceedance`
+    over :func:`sorted_halves` of the norms, so each half's zero-norm prefix holds exact 0s or
+    1s."""
+    return masked_exceedance(prior, z, sorted_halves(y))
 
 
 def rational_pre_pairs(widths, input, layer, unit_pair) -> list[tuple[Fraction, Fraction]]:

@@ -3,12 +3,13 @@ import concurrent.futures
 import dataclasses
 import itertools
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc, ndtr, stdtr
+from scipy.special import erfc, stdtr
 from scipy.stats import t as student_t
 
 from bnndep import estimators
@@ -39,7 +40,7 @@ from bnndep.sampling import (
     generate_input,
     sample_units,
 )
-from reference import bootstrap_std_error
+from reference import bootstrap_std_error, masked_exceedance, rb_survival_row
 
 
 def make_batch(u, v, layer=2, prev_norms=None):
@@ -375,33 +376,59 @@ class TestCovariance:
             assert e.value >= -1e-9
 
 
+def grid_row(monkeypatch, batch, z):
+    """The survival row that rao_blackwell_grid(batch, [z], [z]) hands to its covariance."""
+    seen = []
+    cov = estimators._cov_with_se
+
+    def recording(x, y, n):
+        seen.append(x.copy())
+        return cov(x, y, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "_cov_with_se", recording)
+        rao_blackwell_grid(batch, [z], [z])
+    (row,) = seen
+    return row
+
+
 class TestConditionalExceedance:
     """P(w'X >= z | norm y), the survival row the Rao-Blackwell estimator reads.
 
     Its norms are checked when their batch is built (test_non_finite_norm_rejected,
     test_negative_norm_rejected_when_the_batch_is_built), its thresholds by the estimator
-    (test_non_finite_threshold_rejected).
+    (test_non_finite_threshold_rejected).  The grid sets the zero-norm atom itself, so
+    ``_norm_survival`` sees positive norms only.
     """
 
     def test_gaussian_median(self):
-        assert _norm_survival(PriorSpec(), 0.0, np.ones(1))[0] == 0.5
+        assert _norm_survival(PriorSpec(), 0.0, np.ones(1), np.empty(1))[0] == 0.5
 
     def test_gaussian_one_sigma(self):
-        got = _norm_survival(PriorSpec(), 1.0, np.ones(1))[0]
+        got = _norm_survival(PriorSpec(), 1.0, np.ones(1), np.empty(1))[0]
         # cross-check against an independent survival implementation
         assert got == pytest.approx(0.5 * erfc(1 / np.sqrt(2)), abs=1e-15)
         assert got == pytest.approx(0.15865525393145707, abs=1e-12)
 
-    def test_zero_norm_is_indicator(self):
+    def test_zero_norm_is_indicator(self, monkeypatch):
+        y = np.array([0.0, 1.0, -0.0, 2.0])     # halves (0, 1) and (-0, 2): a zero leads each
         for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.0)):
-            assert _norm_survival(prior, -1.0, np.zeros(1))[0] == 1.0
-            assert _norm_survival(prior, 0.0, np.zeros(1))[0] == 1.0
-            assert _norm_survival(prior, 0.5, np.zeros(1))[0] == 0.0
+            batch = SampleBatch(np.zeros(4), np.ones(4), 2, "pre", prior, y)
+            for z, atom in ((-1.0, 1.0), (0.0, 1.0), (0.5, 0.0)):
+                assert grid_row(monkeypatch, batch, z)[[0, 2]].tolist() == [atom, atom]
+
+    def test_tiny_norm_overflows_to_exact_survival_quietly(self):
+        y = np.array([5e-324, 1e-310])          # z / y overflows to +-inf for |z| >= 1
+        for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _norm_survival(prior, 1.0, y, np.empty(2)).tolist() == [0.0, 0.0]
+                assert _norm_survival(prior, -1.0, y, np.empty(2)).tolist() == [1.0, 1.0]
 
     def test_student_matches_reference(self):
         prior = PriorSpec(family="student_t", nu=4.5)
         y = np.array([0.5, 1.0, 2.0])
-        got = _norm_survival(prior, 1.2, y)
+        got = _norm_survival(prior, 1.2, y, np.empty(3))
         want = student_t.sf(1.2 / y, df=4.5)
         assert np.allclose(got, want, rtol=1e-12)
 
@@ -456,16 +483,6 @@ ATOM_THRESHOLDS = [-1.0, -0.0, 0.0, 0.5]
 GRID_NEG_ZERO, GRID_ZERO = (-1.0, -0.0, 0.5), (-0.25, 0.0, 0.75, 1.5)
 
 
-def reference_exceedance(prior, z, y):
-    """The masked form: survival at z / y where y > 0, the atom's indicator where y = 0."""
-    def survival(q):
-        return stdtr(prior.nu, -q) if prior.family == "student_t" else ndtr(-q)
-
-    positive = y > 0
-    quotient = np.where(positive, z / np.where(positive, y, 1.0), 0.0)
-    return np.where(positive, survival(quotient), 1.0 if z <= 0 else 0.0)
-
-
 def reference_covariance(x, y):
     """Covariance and influence-function SE with fresh arrays at every step."""
     n = x.shape[0]
@@ -480,6 +497,43 @@ def norms_with_dead_rows(n=1000, seed=41):
     return y
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k float64 roundings."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def rounding_bounds(x, y):
+    """Bounds on how far _cov_with_se(x, y)'s value and SE lie from the exact ones, for rows
+    x, y in [0, 1], fixed before any run from Higham's analysis, whatever order the sums run in.
+
+    numpy sums pairwise over leaves of at most 128 terms, so no term meets more than
+    k = 128 + ceil(log2 n) roundings: a sum is within gamma_k sum|terms| of exact, a mean of
+    values in [-1, 1] within gamma_(k+1).  Value: the products' sum adds gamma_k sum|p| and
+    the centring and product roundings gamma_3 sum|p|; the means' errors cancel to first
+    order (centred values sum to 0) and leave n times products of two of them (6 n
+    gamma_(k+1)^2 with the cross terms), and the division one ulp.  SE: each influence value
+    psi is then within e = 20 gamma_(k+1) of exact (products 3, each centring 7, gamma_(k+1)
+    units), so the sum of squares moves by at most gamma_(k+2) sum psi^2 + sum (2|psi| + 3e) e,
+    its square root by that over sqrt(sum psi^2), and the last three operations by gamma_4.
+    """
+    n = x.shape[0]
+    k = 128 + int(np.ceil(np.log2(n)))
+    g = gamma(k + 1)
+    prod = (x - x.mean()) * (y - y.mean())
+    value = prod.sum() / (n - 1)
+    value_bound = (gamma(k + 3) * np.abs(prod).sum() + 6 * n * g * g) / (n - 1)
+    psi = prod - prod.mean()
+    psi -= psi.mean()
+    e, sq = 20 * g, (psi * psi).sum()
+    moved = gamma(k + 2) * sq + ((2 * np.abs(psi) + 3 * e) * e).sum()
+    se = np.sqrt(sq / (n - 1)) / np.sqrt(n)
+    return (value_bound + UNIT_ROUNDOFF * abs(value),
+            moved / np.sqrt(sq * (n - 1) * n) + gamma(4) * se)
+
+
 class TestKernelBits:
     def test_student_survival_at_infinity(self):
         for nu in (2.5, 3.5, 30.0):
@@ -487,12 +541,18 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
     @pytest.mark.parametrize("z", ATOM_THRESHOLDS)
-    def test_conditional_exceedance_keeps_the_atom_and_its_bits(self, prior, z):
+    def test_conditional_exceedance_keeps_the_atom_and_its_bits(self, monkeypatch, prior, z):
         y = norms_with_dead_rows()
         kept = y.copy()
-        got = _norm_survival(prior, z, y)
-        assert got.tobytes() == reference_exceedance(prior, z, y).tobytes()
-        assert np.all(got[::5] == (1.0 if z <= 0 else 0.0))
+        batch = SampleBatch(np.zeros(y.shape[0]), np.ones(y.shape[0]), 2, "pre", prior, y)
+        want = rb_survival_row(prior, z, y)
+        for pair_min in (y.shape[0] + 1, 2):      # serial, then threaded
+            monkeypatch.setattr(estimators, "_PAIR_MIN", pair_min)
+            got = grid_row(monkeypatch, batch, z)
+            assert got.tobytes() == want.tobytes()
+            # each half's dead rows, a fifth of it, lead the half at the atom's exact survival
+            for half in (got[:500], got[500:]):
+                assert np.all(half[:100] == (1.0 if z <= 0 else 0.0))
         assert y.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
@@ -503,8 +563,8 @@ class TestKernelBits:
         batch = SampleBatch(u, v, 2, "pre", prior, y)
         for z1, z2 in itertools.product(ATOM_THRESHOLDS, repeat=2):
             e = rao_blackwell_delta(batch, z1, z2)
-            want = reference_covariance(reference_exceedance(prior, z1, y),
-                                        reference_exceedance(prior, z2, y))
+            want = reference_covariance(rb_survival_row(prior, z1, y),
+                                        rb_survival_row(prior, z2, y))
             assert (e.value.hex(), e.std_error.hex()) == tuple(w.hex() for w in want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, y), kept))
 
@@ -521,8 +581,8 @@ class TestKernelBits:
         assert grid.z1_values.tobytes() == np.array(z1s).tobytes()
         assert grid.z2_values.tobytes() == np.array(z2s).tobytes()
         for (a, z1), (b, z2) in itertools.product(enumerate(z1s), enumerate(z2s)):
-            want = reference_covariance(reference_exceedance(prior, z1, y),
-                                        reference_exceedance(prior, z2, y))
+            want = reference_covariance(rb_survival_row(prior, z1, y),
+                                        rb_survival_row(prior, z2, y))
             got = grid.cell(a, b)
             assert (got.value.hex(), got.std_error.hex()) == tuple(w.hex() for w in want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, y), kept))
@@ -542,20 +602,59 @@ class TestKernelBits:
         survival = estimators._norm_survival
 
         def counting(prior, z, y, out):
-            calls.append((z, y.size))
+            calls.append((z, y.size, bool(np.all(y > 0))))
             return survival(prior, z, y, out)
 
         monkeypatch.setattr(estimators, "_norm_survival", counting)
         monkeypatch.setattr(estimators, "_PAIR_MIN", 2 if threaded else y.shape[0] + 1)
         got = rao_blackwell_grid(batch, z1s, z2s)
         evaluated = collections.Counter()   # norm elements evaluated, per threshold
-        for z, size in calls:
+        for z, size, positive in calls:
+            assert positive                 # the zero-norm atom never reaches the survival
             evaluated[z] += size
         assert len(evaluated) == distinct
         assert set(evaluated) == set(z1s) | set(z2s)
-        assert set(evaluated.values()) == {y.shape[0]}
+        assert set(evaluated.values()) == {np.count_nonzero(y)}
         assert got.value.tobytes() == want.value.tobytes()
         assert got.std_error.tobytes() == want.std_error.tobytes()
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
+    @pytest.mark.parametrize("signed", [np.array([1.0, -0.0, 2.0, 0.5, -0.0, 0.0]),
+                                        np.where(norms_with_dead_rows() > 0,
+                                                 norms_with_dead_rows(), -0.0)],
+                             ids=["hand", "dead_rows"])
+    def test_negative_zero_norm_is_the_atom(self, prior, signed):
+        # -0.0 passes the batch's norm >= 0 check, and -z / -0.0 once flipped the atom's
+        # survival: 1 for z > 0 and 0 for z < 0 (a cell of -0.182 for the hand batch's -0.031)
+        assert np.signbit(signed).any()
+        u, v = np.random.default_rng(61).standard_normal((2, signed.shape[0]))
+        zs = (-0.5, 0.0, 0.5)
+        neg, pos = (SampleBatch(u, v, 2, "pre", prior, y) for y in (signed, np.abs(signed)))
+        got, want = rao_blackwell_grid(neg, zs, zs), rao_blackwell_grid(pos, zs, zs)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.std_error.tobytes() == want.std_error.tobytes()
+        assert rao_blackwell_delta(neg, 0.5, -0.5) == rao_blackwell_delta(pos, 0.5, -0.5)
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct_norms", "tied_norms"])
+    def test_rao_blackwell_is_the_sample_order_covariance_up_to_rounding(self, prior, tied):
+        # sorting each half's norms reorders the covariance's sums; the cells must stay
+        # within rounding_bounds of the sample-order covariance, on the batch as drawn and
+        # with its samples permuted at random
+        y = norms_with_dead_rows(1001)
+        y = np.round(y, 1) if tied else y   # tied: about 30 distinct norms
+        u, v = np.random.default_rng(53).standard_normal((2, y.shape[0]))
+        z1s, z2s = (-1.0, 0.0, 0.5), (-0.25, 0.75)     # both atom sides
+        for p in (np.arange(y.shape[0]), np.random.default_rng(59).permutation(y.shape[0])):
+            grid = rao_blackwell_grid(SampleBatch(u[p], v[p], 2, "pre", prior, y[p]), z1s, z2s)
+            for (a, z1), (b, z2) in itertools.product(enumerate(z1s), enumerate(z2s)):
+                rows = masked_exceedance(prior, z1, y), masked_exceedance(prior, z2, y)
+                grid_rows = rb_survival_row(prior, z1, y[p]), rb_survival_row(prior, z2, y[p])
+                bound = np.add(rounding_bounds(*rows), rounding_bounds(*grid_rows))
+                assert np.all(bound < 1e-9)     # small enough to catch a mispaired row
+                want, got = reference_covariance(*rows), grid.cell(a, b)
+                assert abs(got.value - want[0]) <= bound[0]
+                assert abs(got.std_error - want[1]) <= bound[1]
 
     @pytest.mark.parametrize("n", [2, 3, 1000, 100_001])
     def test_covariance_keeps_its_bits_and_the_inputs(self, n):
@@ -844,7 +943,7 @@ def side_by_side_cases(n):
     for name, estimate in (("tau", kendall_tau_arrays), ("rho", spearman_rho_arrays)):
         cases.append((f"{name}_untied", lambda e=estimate: e(u, v)))
         cases.append((f"{name}_tied", lambda e=estimate: e(post.u, post.v)))
-    for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.5)):
+    for prior in PRIORS:
         pre = SampleBatch(u, v, 2, "pre", prior, post.prev_norms)
         # one threshold (the atom's or not), 0 with a non-zero one, and two non-zero ones
         for z1, z2 in ((0.0, 0.0), (0.5, 0.5), (0.0, 0.75), (-0.5, 1.25)):
