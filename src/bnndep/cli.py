@@ -23,7 +23,7 @@ import numpy as np
 from . import estimators as est
 from . import exact, network
 from .experiments import GridRange, SweepSpec, acceptance_suite, run_sweep, summarize
-from .gridio import _check_color_limit, render_heatmap, write_grid_csv
+from .gridio import _check_color_limit, _json_text, render_heatmap, write_grid_csv
 from .network import Activation, ConfigError, NetworkConfig, PriorSpec, uniform_config
 from .sampling import TAPS, SeedSpec, combine_copies, generate_input, sample_layer, sample_units
 
@@ -86,41 +86,38 @@ def _csv_words(text: str) -> list[str]:
 
 
 # Flags shared by the sampling subcommands, one per config leaf: the flag, the
-# leaf's dotted path and default, the conversion of the parsed value, argparse keywords.
+# leaf's dotted path, the conversion of the parsed value, argparse keywords.
 _COMMON_FLAGS = (
-    ("--seed", "seed", 42, None, {"type": int}),
-    ("--n", "n", 100000, None, {"type": int}),
-    ("--input-dim", "input_dim", 100, None, {"type": int}),
-    ("--depths", "depths", [2, 3, 4], _csv_ints, {"help": "comma-separated hidden-layer counts"}),
-    ("--widths", "widths", [2, 5, 10], _csv_ints, {"help": "comma-separated hidden widths"}),
-    ("--grid-steps", "grid.steps", 41, None, {"type": int}),
-    ("--grid-lo", "grid.lo", -1.0, None, {"type": float}),
-    ("--grid-hi", "grid.hi", 1.0, None, {"type": float}),
-    ("--activation", "activation.kind", "relu", None, {"choices": Activation.KINDS}),
-    ("--elu-alpha", "activation.alpha", 1.0, None, {"type": float}),
-    ("--prior-family", "prior.family", "gaussian", None, {"choices": network._FAMILIES}),
-    ("--scale-mode", "prior.scale_mode", "fan_in", None, {"choices": network._SCALE_MODES}),
-    ("--sigma0", "prior.sigma0", 1.0, None, {"type": float}),
-    ("--rho", "prior.rho", 0.0, None, {"type": float}),
-    ("--nu", "prior.nu", None, None, {"type": float}),
-    ("--tap", "tap", "pre", None, {"choices": TAPS}),
-    ("--units", "units", [0, 1], _csv_ints, {"help": "comma-separated pair of unit indices"}),
-    ("--workers", "workers", 1, None, {"type": int}),
-    ("--out", "out_dir", "out", None, {"dest": "out_dir"}),
-    ("--color-limit", "color_limit", None, None, {"type": float}),
-    ("--formats", "formats", ["csv", "svg", "json"], _csv_words,
-     {"help": "comma-separated subset of csv,svg,json"}),
+    ("--seed", "seed", None, {"type": int}),
+    ("--n", "n", None, {"type": int}),
+    ("--input-dim", "input_dim", None, {"type": int}),
+    ("--depths", "depths", _csv_ints, {"help": "comma-separated hidden-layer counts"}),
+    ("--widths", "widths", _csv_ints, {"help": "comma-separated hidden widths"}),
+    ("--grid-steps", "grid.steps", None, {"type": int}),
+    ("--grid-lo", "grid.lo", None, {"type": float}),
+    ("--grid-hi", "grid.hi", None, {"type": float}),
+    ("--activation", "activation.kind", None, {"choices": Activation.KINDS}),
+    ("--elu-alpha", "activation.alpha", None, {"type": float}),
+    ("--prior-family", "prior.family", None, {"choices": network._FAMILIES}),
+    ("--scale-mode", "prior.scale_mode", None, {"choices": network._SCALE_MODES}),
+    ("--sigma0", "prior.sigma0", None, {"type": float}),
+    ("--rho", "prior.rho", None, {"type": float}),
+    ("--nu", "prior.nu", None, {"type": float}),
+    ("--tap", "tap", None, {"choices": TAPS}),
+    ("--units", "units", _csv_ints, {"help": "comma-separated pair of unit indices"}),
+    ("--workers", "workers", None, {"type": int}),
+    ("--out", "out_dir", None, {"dest": "out_dir"}),
+    ("--color-limit", "color_limit", None, {"type": float}),
+    ("--formats", "formats", _csv_words, {"help": "comma-separated subset of csv,svg,json"}),
 )
 
-
-def _put(doc: dict, path: str, value) -> None:
-    section, _, key = path.rpartition(".")
-    (doc.setdefault(section, {}) if section else doc)[key] = value
-
-
-DEFAULT_CONFIG: dict = {}
-for _row in _COMMON_FLAGS:
-    _put(DEFAULT_CONFIG, *_row[1:3])
+# The config document is SweepSpec's fields, its sections those of GridRange, Activation
+# and PriorSpec, with two leaves renamed, an unset nu as null, and three output leaves.
+_RENAMED = {"master_seed": "seed", "unit_pair": "units"}
+DEFAULT_CONFIG: dict = {_RENAMED.get(k, k): v
+                        for k, v in json.loads(_json_text(SweepSpec())).items()}
+DEFAULT_CONFIG["prior"]["nu"] = None
+DEFAULT_CONFIG.update(out_dir="out", color_limit=None, formats=["csv", "svg", "json"])
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -132,11 +129,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def resolve_config(args: argparse.Namespace) -> dict:
     doc = (load_config(args.config) if getattr(args, "config", None)
            else copy.deepcopy(DEFAULT_CONFIG))
-    for flag, path, _, convert, kwargs in _COMMON_FLAGS:
+    for flag, path, convert, kwargs in _COMMON_FLAGS:
         # argparse's default dest unless the row names one
         value = getattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), None)
         if value is not None:
-            _put(doc, path, convert(value) if convert else value)
+            section, _, key = path.rpartition(".")
+            (doc[section] if section else doc)[key] = convert(value) if convert else value
     for fmt in doc["formats"]:
         if fmt not in ("csv", "svg", "json"):
             raise UsageError(f"unknown output format {fmt!r}")
@@ -150,26 +148,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _sweep_spec_from(doc: dict) -> SweepSpec:
-    act, prior, grid = doc["activation"], doc["prior"], doc["grid"]
+    nu = float("nan" if doc["prior"]["nu"] is None else doc["prior"]["nu"])
     return SweepSpec(
-        depths=tuple(doc["depths"]),
-        widths=tuple(doc["widths"]),
-        input_dim=doc["input_dim"],
-        n=doc["n"],
-        grid=GridRange(grid["lo"], grid["hi"], grid["steps"]),
-        activation=Activation(act["kind"], act["alpha"]),
-        prior=PriorSpec(family=prior["family"], scale_mode=prior["scale_mode"],
-                        sigma0=prior["sigma0"], rho=prior["rho"],
-                        nu=float("nan") if prior["nu"] is None else float(prior["nu"])),
-        tap=doc["tap"],
-        unit_pair=tuple(doc["units"]),
-        master_seed=doc["seed"],
-        workers=doc["workers"],
-    )
-
-
-def _estimate_doc(e: est.EstimateWithError) -> dict:
-    return {"value": e.value, "std_error": e.std_error, "n": e.n}
+        depths=tuple(doc["depths"]), widths=tuple(doc["widths"]), input_dim=doc["input_dim"],
+        n=doc["n"], grid=GridRange(**doc["grid"]), activation=Activation(**doc["activation"]),
+        prior=PriorSpec(**{**doc["prior"], "nu": nu}), tap=doc["tap"],
+        unit_pair=tuple(doc["units"]), master_seed=doc["seed"], workers=doc["workers"])
 
 
 def cmd_sweep(args) -> int:
@@ -185,11 +169,9 @@ def cmd_sweep(args) -> int:
             write_grid_csv(cell.grid, out_dir / f"grid_{stem}.csv")
         if "svg" in doc["formats"]:
             render_heatmap(cell.grid, out_dir / f"heatmap_{stem}.svg", doc["color_limit"])
-        summary[stem] = cell.summary.__dict__
+        summary[stem] = cell.summary
     if "json" in doc["formats"]:
-        with open(out_dir / "summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        (out_dir / "summary.json").write_text(_json_text(summary))
     print(f"wrote {len(cells)} grids to {out_dir}")
     return 0
 
@@ -220,7 +202,7 @@ def cmd_delta(args) -> int:
         write_grid_csv(grid, out_dir / "delta.csv")
     if "svg" in doc["formats"]:
         render_heatmap(grid, out_dir / "delta.svg", doc["color_limit"])
-    print(json.dumps({"summary": summarize(grid).__dict__}, sort_keys=True, indent=2))
+    print(_json_text({"summary": summarize(grid)}), end="")
     return 0
 
 
@@ -229,11 +211,11 @@ def cmd_concordance(args) -> int:
     batch = sample_units(*net, spec.unit_pair, spec.tap, spec.n, spec.master_seed,
                          workers=spec.workers)
     report = {
-        "covariance": _estimate_doc(est.covariance(batch)),
-        "kendall_tau": _estimate_doc(est.kendall_tau(batch)),
-        "spearman_rho": _estimate_doc(est.spearman_rho(batch)),
+        "covariance": est.covariance(batch),
+        "kendall_tau": est.kendall_tau(batch),
+        "spearman_rho": est.spearman_rho(batch),
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_json_text(report), end="")
     return 0
 
 
@@ -248,15 +230,7 @@ def cmd_pd(args) -> int:
                          f"got {args.z_quantiles!r} and {args.z_steps}")
     samples = sample_layer(*net, spec.n, spec.master_seed, spec.tap, workers=spec.workers)
     lo, hi = np.quantile(samples[:, -1], [qlo, qhi])
-    profile = est.pd_profile(samples, np.linspace(lo, hi, args.z_steps))
-    doc_out = {
-        "z_values": [float(z) for z in profile.z_values],
-        "right_tail": [None if c is None else _estimate_doc(c) for c in profile.right_tail],
-        "left_tail": [None if c is None else _estimate_doc(c) for c in profile.left_tail],
-        "min_right": profile.min_right,
-        "min_left": profile.min_left,
-    }
-    print(json.dumps(doc_out, sort_keys=True, indent=2))
+    print(_json_text(est.pd_profile(samples, np.linspace(lo, hi, args.z_steps))), end="")
     return 0
 
 
@@ -288,7 +262,7 @@ def cmd_selftest(args) -> int:
 
 def cmd_print_config(args) -> int:
     doc = resolve_config(args)
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(_json_text(doc), end="")
     return 0
 
 
@@ -333,9 +307,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    for flag, _, default, _, kwargs in _COMMON_FLAGS:
+    for flag, path, _, kwargs in _COMMON_FLAGS:
         if flag in ("--seed", "--n", "--input-dim", "--workers"):
-            p.add_argument(flag, default=default, **kwargs)
+            p.add_argument(flag, default=DEFAULT_CONFIG[path], **kwargs)
     p.add_argument("--report", help="path for the JSON report")
     p.set_defaults(func=cmd_selftest)
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .network import GAUSSIAN_EQUICORRELATED, GAUSSIAN_IID, STUDENT_T, PriorSpec, _finite
+from .network import STUDENT_T, PriorSpec, _finite
 from .sampling import SampleBatch
 
 UPPER = "upper"
@@ -395,8 +395,6 @@ def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray, out: np.ndarray) -
     """Survival of the prior's family at z / y, written into ``out``, for checked positive
     norms y: the grid sets the zero-norm atom itself."""
     from scipy.special import ndtr, stdtr
-    if prior.family not in (GAUSSIAN_IID, GAUSSIAN_EQUICORRELATED, STUDENT_T):
-        raise ValueError(f"no closed-form conditional exceedance for {prior.family!r}")
     survival = partial(stdtr, prior.nu) if prior.family == STUDENT_T else ndtr
     if z == 0:                          # survival(0) once, not a survival pass over y
         out[...] = survival(0.0)

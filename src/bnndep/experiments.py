@@ -168,6 +168,10 @@ class CriterionResult:
     status: str  # "pass" | "fail" | "warn"
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # plain values under string keys, which the report sorts as strings ("10" before "2")
+        self.details = json.loads(json.dumps(self.details, default=gridio._json_default))
+
     def line(self) -> str:
         return f"[{self.status.upper():4s}] criterion {self.cid:2d}: {self.title}"
 
@@ -186,7 +190,7 @@ class AcceptanceReport:
         return [r.line() for r in self.results]
 
     def to_json(self) -> str:
-        doc = {
+        return gridio._json_text({
             "master_seed": self.master_seed,
             "n": self.n,
             "passed": self.passed,
@@ -194,21 +198,7 @@ class AcceptanceReport:
                 {"id": r.cid, "title": r.title, "status": r.status, "details": r.details}
                 for r in self.results
             ],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _py(value):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_py(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _py(v) for k, v in value.items()}
-    return value
+        })
 
 
 def _family(tests: dict, **extra) -> tuple[bool, dict]:
@@ -313,15 +303,20 @@ RB_SEEDS = 30
 
 
 def acceptance_suite(
-    master_seed: int = 42, n: int = 100_000, input_dim: int = 100, workers: int = 1,
+    master_seed: int = SweepSpec.master_seed, n: int = SweepSpec.n,
+    input_dim: int = SweepSpec.input_dim, workers: int = SweepSpec.workers,
 ) -> AcceptanceReport:
     """Run every acceptance criterion and collect a deterministic report.
 
-    Every sample size follows from ``n``.  The width-10 origin cell, whose
-    target is small enough to rival the standard error at n draws, takes
-    10n; criterion 9 compares variances over RB_SEEDS batches of
-    max(2000, n // 5).
+    Every sample size follows from ``n``, which must be at least 10 * NULL_BLOCKS.
+    The width-10 origin cell, whose target is small enough to rival the
+    standard error at n draws, takes 10n; criterion 9 compares variances
+    over RB_SEEDS batches of max(2000, n // 5).
     """
+    if n < 10 * NULL_BLOCKS:
+        # criterion 6's blocks each need enough samples for a rank statistic
+        raise ValueError(f"the acceptance suite needs n >= {10 * NULL_BLOCKS} "
+                         f"(10 samples per zero-concordance block), got {n!r}")
     seed = SeedSpec(master_seed)
     x = generate_input(input_dim, seed)
     z = GridRange().values()
@@ -448,7 +443,7 @@ def acceptance_suite(
                 "samples": batch.u.tobytes() + batch.v.tobytes(),
                 "csv": gridio.grid_csv_text(grid),
                 "svg": gridio.heatmap_svg_text(grid),
-                "summary": json.dumps(_py(summarize(grid).__dict__), sort_keys=True),
+                "summary": gridio._json_text(summarize(grid)),
             })
         checks = {key: outputs[0][key] == outputs[1][key] for key in outputs[0]}
         return all(checks.values()), {"equal": checks}
@@ -477,6 +472,6 @@ def acceptance_suite(
     for cid, title, check, *on_fail in table:
         ok, details = check()
         status = "pass" if ok else on_fail[0] if on_fail else "fail"
-        results.append(CriterionResult(cid, title, status, _py(details)))
+        results.append(CriterionResult(cid, title, status, details))
     return AcceptanceReport(master_seed, n, results)
 

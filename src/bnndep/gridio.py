@@ -1,12 +1,15 @@
-"""CSV and SVG serialization of threshold grids.
+"""CSV, SVG and JSON serialization.
 
 Reals are printed with 17 significant digits so a written grid re-parses
 bit-exactly.  The SVG is self-contained (one rectangle per cell, no
-external assets) and byte-deterministic for a given grid.
+external assets) and byte-deterministic for a given grid.  Every JSON
+document the package writes goes through one encoder, ``_json_text``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from numbers import Real
 from typing import Optional
 
@@ -22,6 +25,20 @@ _NEG = np.array([33, 102, 172])
 _MID = np.array([255, 255, 255])
 _POS = np.array([178, 24, 43])
 _HEX = np.array([f"{i:02x}" for i in range(256)], dtype=object)
+
+
+def _json_default(obj):
+    """JSON form of what ``json`` cannot encode: a dataclass as its fields, numpy as lists."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    """The package's one JSON writer: sorted keys, two-space indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def _fmt(x: float) -> str:

@@ -118,17 +118,20 @@ class PriorSpec:
     nu: float = _NAN              # student_t only
 
     def __post_init__(self):
-        # every NaN nu becomes the one _NAN object, so equal priors compare and hash equal
-        if self.nu != self.nu:
-            object.__setattr__(self, "nu", _NAN)
-
-    def validate(self, fan_in: int) -> None:
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown prior family {self.family!r}")
         if self.scale_mode not in _SCALE_MODES:
             raise ConfigError(f"unknown scale mode {self.scale_mode!r}")
         if not (self.sigma0 > 0 and _finite(self.sigma0)):
             raise ConfigError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        if self.family == STUDENT_T and not (self.nu > 2 and _finite(self.nu)):
+            raise ConfigError(f"student_t nu must be finite and exceed 2, got {self.nu}")
+        # every NaN nu becomes the one _NAN object, so equal priors compare and hash equal
+        if self.nu != self.nu:
+            object.__setattr__(self, "nu", _NAN)
+
+    def validate(self, fan_in: int) -> None:
+        """Check what depends on the fan-in: the equicorrelated rho range."""
         if self.family == GAUSSIAN_EQUICORRELATED:
             lo = -1.0 / (fan_in - 1) if fan_in > 1 else -np.inf
             if not (lo < self.rho < 1.0):
@@ -136,8 +139,6 @@ class PriorSpec:
                     f"equicorrelated rho={self.rho} outside positive-definite "
                     f"range ({lo}, 1) for fan-in {fan_in}"
                 )
-        if self.family == STUDENT_T and not (self.nu > 2 and _finite(self.nu)):
-            raise ConfigError(f"student_t nu must be finite and exceed 2, got {self.nu}")
 
     def column_std(self, fan_in: int) -> float:
         if self.scale_mode == FAN_IN:

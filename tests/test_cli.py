@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from bnndep import cli
+from bnndep import cli, experiments
 from bnndep.cli import DEFAULT_CONFIG, main
-from bnndep.estimators import DeltaGrid, delta_grid
+from bnndep.estimators import DeltaGrid, EstimateWithError, PdProfile, delta_grid
+from bnndep.experiments import AcceptanceReport, CriterionResult
 from bnndep.gridio import (
+    _json_text,
     grid_csv_text,
     heatmap_svg_text,
     parse_grid_csv,
@@ -567,7 +569,57 @@ class TestConfigDocumentRuns:
         assert self.outputs(tmp_path, capsys, "defaults", [*command, *self.FLAGS]) != from_doc
 
 
+class TestJsonText:
+    """The one JSON encoder behind every document the package writes."""
+
+    def test_numpy_values_become_plain_json(self):
+        doc = {"int": np.int64(3), "float32": np.float32(0.5), "bool": np.bool_(True),
+               "array": np.arange(3), "matrix": np.array([[1.5, -2.0]]), "tuple": (1, 2)}
+        assert _json_text(doc) == (
+            '{\n  "array": [\n    0,\n    1,\n    2\n  ],\n  "bool": true,\n  "float32": 0.5,\n'
+            '  "int": 3,\n  "matrix": [\n    [\n      1.5,\n      -2.0\n    ]\n  ],\n'
+            '  "tuple": [\n    1,\n    2\n  ]\n}\n')
+
+    def test_non_finite_values(self):
+        values = [np.nan, np.float64(np.inf), -np.inf, np.array([np.nan])]
+        assert _json_text(values).split() == ["[", "NaN,", "Infinity,", "-Infinity,", "[",
+                                              "NaN", "]", "]"]
+
+    def test_nested_dataclasses(self):
+        cell = EstimateWithError(0.25, np.float64(0.125), 8)
+        profile = PdProfile(np.array([-0.5, 0.5]), [cell, None], [None, cell], 0.25, None)
+        assert json.loads(_json_text({"profile": profile})) == {"profile": {
+            "z_values": [-0.5, 0.5],
+            "right_tail": [{"value": 0.25, "std_error": 0.125, "n": 8}, None],
+            "left_tail": [None, {"value": 0.25, "std_error": 0.125, "n": 8}],
+            "min_right": 0.25, "min_left": None}}
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            _json_text({"cells": {1, 2}})
+
+    def test_report_sorts_integer_detail_keys_as_strings(self):
+        details = {"mean_abs": {2: np.float64(0.5), 5: 0.25, 10: 0.125}, "pair": (np.int64(1),)}
+        result = CriterionResult(11, "trend", "pass", details)
+        assert result.details == {"mean_abs": {"2": 0.5, "5": 0.25, "10": 0.125}, "pair": [1]}
+        text = AcceptanceReport(7, 1000, [result]).to_json()
+        assert text.index('"10"') < text.index('"2"') < text.index('"5"')
+        assert json.loads(text)["criteria"][0]["details"] == result.details
+
+
 class TestSelftestCommand:
+    def test_n_below_the_suite_minimum_rejected_before_any_draw(self, capsys, monkeypatch):
+        # n = 199 used to fail inside criterion 6 with "concordance estimation needs n >= 2"
+        monkeypatch.setattr(experiments, "generate_input", None)
+        assert main(["selftest", "--n", "999"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("bnndep: error: the acceptance suite needs n >= 1000 "
+                                     "(10 samples per zero-concordance block), got 999\n")
+
+    def test_smallest_n_runs(self, capsys):
+        assert main(["selftest", "--n", "1000", "--input-dim", "20"]) == 0
+        assert capsys.readouterr().out.endswith("selftest: PASS\n")
+
     def test_reduced_scale_reports_byte_identical_across_workers(self, tmp_path, capsys):
         base = ["selftest", "--seed", "42", "--n", "1200", "--input-dim", "20"]
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -30,7 +30,7 @@ from bnndep.estimators import (
     spearman_rho,
     spearman_rho_arrays,
 )
-from bnndep.network import PriorSpec, uniform_config
+from bnndep.network import ConfigError, PriorSpec, uniform_config
 from bnndep.sampling import (
     DIFF_OF_COPIES,
     SUM_OF_COPIES,
@@ -710,6 +710,14 @@ class TestRaoBlackwellGridRejections:
         # the batch checks its norms once, so the estimator never sees them
         with pytest.raises(ValueError, match=match):
             rb_batch(norms=norms)
+
+    @pytest.mark.parametrize("nu", [float("nan"), -3.0], ids=["unset_nu", "negative_nu"])
+    def test_invalid_student_t_prior_rejected_when_it_is_built(self, nu):
+        # such a prior on a hand-built batch used to give an RB value and SE of NaN
+        u, v, y = np.random.default_rng(5).standard_normal((3, 100))
+        with pytest.raises(ConfigError, match="student_t nu must be finite and exceed 2"):
+            batch = SampleBatch(u, v, 2, "pre", PriorSpec(family="student_t", nu=nu), abs(y))
+            rao_blackwell_delta(batch, 0.0, 0.0)
 
     def test_checks_run_in_order(self):
         # each batch mends the one before's first fault and keeps the later ones; the norms'

@@ -99,22 +99,24 @@ class TestConfigConstruction:
         with pytest.raises(ConfigError, match="sigma0 must be positive and finite"):
             NetworkConfig((4, 2), RELU, (PriorSpec(sigma0=0.0),))
 
+    # a PriorSpec checks everything but the rho range when it is built, so each case
+    # names the keywords of a prior and builds it inside the raises block
     @pytest.mark.parametrize("prior, message", [
-        (PriorSpec(sigma0=np.inf), "sigma0 must be positive and finite"),
-        (PriorSpec(sigma0=np.nan), "sigma0 must be positive and finite"),
-        (PriorSpec(family="student_t", nu=np.inf), "student_t nu must be finite"),
+        ({"sigma0": np.inf}, "sigma0 must be positive and finite"),
+        ({"sigma0": np.nan}, "sigma0 must be positive and finite"),
+        ({"family": "student_t", "nu": np.inf}, "student_t nu must be finite"),
     ], ids=["sigma0_inf", "sigma0_nan", "student_t_nu_inf"])
     def test_non_finite_rejected(self, prior, message):
         with pytest.raises(ConfigError, match=message):
-            NetworkConfig((4, 2), RELU, (prior,))
+            PriorSpec(**prior)
 
     @pytest.mark.parametrize("prior, message", [
-        (PriorSpec(family="laplace"), "unknown prior family 'laplace'"),
-        (PriorSpec(scale_mode="fan_out"), "unknown scale mode 'fan_out'"),
+        ({"family": "laplace"}, "unknown prior family 'laplace'"),
+        ({"scale_mode": "fan_out"}, "unknown scale mode 'fan_out'"),
     ])
     def test_unknown_names_rejected(self, prior, message):
         with pytest.raises(ConfigError, match=message):
-            NetworkConfig((4, 2), RELU, (prior,))
+            PriorSpec(**prior)
 
 
 class TestUniformConfig:
@@ -135,11 +137,11 @@ class TestPriorSpec:
         # NaN != NaN, so two priors with fresh NaNs used to compare unequal
         prior = PriorSpec(nu=nu)
         assert prior == PriorSpec() and hash(prior) == hash(PriorSpec())
-        assert PriorSpec(family="student_t", nu=nu) == PriorSpec(family="student_t", nu=nu)
+        assert PriorSpec(sigma0=2.0, nu=nu) == PriorSpec(sigma0=2.0, nu=nu)
 
     def test_set_nu_kept(self):
         assert PriorSpec(family="student_t", nu=3.0).nu == 3.0
-        assert PriorSpec(family="student_t", nu=3.0) != PriorSpec(family="student_t")
+        assert PriorSpec(nu=3.0) != PriorSpec()
 
 
 class TestForward:

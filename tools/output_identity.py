@@ -2,17 +2,20 @@
 
 The base ref is extracted with ``git archive`` into a scratch directory; the
 other side is this checkout's ``src`` as it stands, uncommitted edits
-included.  Each side runs the same command lines in fresh interpreters:
-every subcommand at each seed (sweeps with their CSV/SVG/JSON files, one-grid
-``delta`` runs, ``concordance``, ``pd``, ``oracle``, ``selftest`` with its
-JSON report, ``print-config``), then once a bare ``print-config``, two
-``oracle enumerate`` runs on a 2-3-2 net with non-dyadic inputs, and every
-``--help`` page.  At each seed ``delta``, ``concordance`` and ``pd`` also run
-from a ``--config`` document, which the tool writes into the run directory
-on both sides.  Each run's stdout, stderr, exit code and files land in one
-directory per run, and ``diff -r`` compares the two trees.  The exit status
-is 0 when they match; otherwise the scratch directory is kept and its path
-printed.  Run from the repository root:
+included.  Each side runs the same command lines in fresh interpreters, 20
+per seed and 11 more.  At each seed: every subcommand (sweeps with their
+CSV/SVG/JSON files, one-grid ``delta`` runs, ``concordance``, ``pd``,
+``oracle``, ``selftest`` with its JSON report, ``print-config``); ``delta``,
+``concordance`` and ``pd`` from a ``--config`` document; and ``delta`` and
+``concordance`` from a second document that sets the activation and prior
+leaves the first leaves out (elu with alpha 0.5, student_t with nu 5, fixed
+scale, sigma0 0.5).  The tool writes each document into the run directory on
+both sides.  Then once: a bare ``print-config``, two ``oracle enumerate``
+runs on a 2-3-2 net with non-dyadic inputs, and every ``--help`` page.  Each
+run's stdout, stderr, exit code and files land in one directory per run, and
+``diff -r`` compares the two trees.  The exit status is 0 when they match;
+otherwise the scratch directory is kept and its path printed.  Run from the
+repository root:
 
     python3 tools/output_identity.py --base HEAD --seeds 1-3 --n 2000
 """
@@ -81,8 +84,14 @@ def runs(seeds: list[int], n: int) -> list[tuple[str, list[str], dict | None]]:
         doc = {"seed": s, "n": n, "input_dim": 20, "depths": [3], "widths": [4],
                "grid": {"lo": -0.5, "hi": 1.5, "steps": 9}, "units": [1, 0], "tap": "post",
                "prior": {"family": "equicorrelated", "rho": 0.3}, "workers": 2}
-        out += [(f"s{s}/{sub}_config", [sub, "--config", "{out}/config.json", "--out", "{out}"],
-                 doc) for sub in ("delta", "concordance", "pd")]
+        elu_t = {**doc, "activation": {"kind": "elu", "alpha": 0.5},
+                 "prior": {"family": "student_t", "nu": 5, "scale_mode": "fixed", "sigma0": 0.5}}
+        out += [(f"s{s}/{name}", [sub, "--config", "{out}/config.json", "--out", "{out}"], d)
+                for name, sub, d in (("delta_config", "delta", doc),
+                                     ("concordance_config", "concordance", doc),
+                                     ("pd_config", "pd", doc),
+                                     ("delta_config_elu_t", "delta", elu_t),
+                                     ("concordance_config_elu_t", "concordance", elu_t))]
     # every default of the config document, with no flag or file over it
     out.append(("defaults/print_config", ["print-config"], None))
     # a wider net with non-dyadic inputs, where pre-activations are rounded in float64
