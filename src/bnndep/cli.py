@@ -126,7 +126,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, **kwargs)
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
+def resolve_config(args: argparse.Namespace) -> tuple[dict, SweepSpec]:
+    """The config document of the file and flags, and the run spec it builds: every
+    command checks the whole document, its grid, activation and prior sections too."""
     doc = (load_config(args.config) if getattr(args, "config", None)
            else copy.deepcopy(DEFAULT_CONFIG))
     for flag, path, convert, kwargs in _COMMON_FLAGS:
@@ -144,7 +146,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError("units must name exactly two indices")
     SeedSpec(doc["seed"])  # the samplers' seed rule, before any command runs
     _check_color_limit(doc["color_limit"])
-    return doc
+    return doc, _sweep_spec_from(doc)
 
 
 def _sweep_spec_from(doc: dict) -> SweepSpec:
@@ -157,8 +159,7 @@ def _sweep_spec_from(doc: dict) -> SweepSpec:
 
 
 def cmd_sweep(args) -> int:
-    doc = resolve_config(args)
-    spec = _sweep_spec_from(doc)
+    doc, spec = resolve_config(args)
     cells = run_sweep(spec)
     out_dir = Path(doc["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,8 +179,7 @@ def cmd_sweep(args) -> int:
 
 def _single_net(args) -> tuple[dict, SweepSpec, tuple[NetworkConfig, np.ndarray, int]]:
     """Config document, run spec, and the network, input and tapped layer of one net."""
-    doc = resolve_config(args)
-    spec = _sweep_spec_from(doc)
+    doc, spec = resolve_config(args)
     depth = spec.depths[0]
     config = uniform_config(spec.input_dim, spec.widths[0], depth, spec.activation, spec.prior)
     x = generate_input(spec.input_dim, spec.master_seed)
@@ -261,7 +261,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_print_config(args) -> int:
-    doc = resolve_config(args)
+    doc, _ = resolve_config(args)
     print(_json_text(doc), end="")
     return 0
 

@@ -101,6 +101,11 @@ def _pair(f: Callable, a, b, n: int) -> tuple:
         return f(a), fb.result()
 
 
+def _halves(f: Callable, n: int) -> tuple:
+    """:func:`_pair` of f over the element halves [0, n//2) and [n//2, n), as slices."""
+    return _pair(f, slice(None, n // 2), slice(n // 2, None), n)
+
+
 # ---------------------------------------------------------------------------
 # Exceedance-difference estimators
 # ---------------------------------------------------------------------------
@@ -229,21 +234,42 @@ def delta_grid(
 # Covariance
 # ---------------------------------------------------------------------------
 
-def _cov_with_se(x: np.ndarray, y: np.ndarray, n: int) -> EstimateWithError:
-    """Covariance of n checked pairs (see :func:`_checked_n`); x and y are not written."""
-    prod, yc = _pair(lambda a: a - a.mean(), x, y, n)
-    prod *= yc
-    value = prod.sum() / (n - 1)
-    prod -= prod.mean()                 # the influence values psi
-    prod -= prod.mean()                 # psi.std(ddof=1), in ndarray.std's operation order
-    prod *= prod
-    se = np.sqrt(prod.sum() / (n - 1)) / np.sqrt(n)
-    return EstimateWithError(float(value), float(se), n)
+def _cell_moments(rows: list, sums: tuple, pairs: list, n: int) -> tuple:
+    """Covariance and influence-function SE of each row pair (i, j) in ``pairs``, as arrays,
+    from each half's sum of every row; the rows are scratch, centred then squared in place.
+    Each half sums a_c b_c, then a_c^2 b_c^2, per pair in fused ``np.einsum`` passes (no BLAS,
+    so no thread-count bits); SE^2 = (mean a_c^2 b_c^2 - mean(a_c b_c)^2) / (n - 1), the
+    ddof-1 variance of the influence values a_c b_c over n.
+    """
+    means = [(a + b) / n for a, b in zip(*sums)]
+
+    def moments(h: slice) -> tuple:
+        for row, mean in zip(rows, means):
+            row[h] -= mean
+        p = [np.einsum("i,i", rows[i][h], rows[j][h]) for i, j in pairs]
+        for row in rows:
+            np.square(row[h], out=row[h])
+        return p, [np.einsum("i,i", rows[i][h], rows[j][h]) for i, j in pairs]
+
+    (pa, qa), (pb, qb) = _halves(moments, n)
+    p, q = np.add(pa, pb), np.add(qa, qb)
+    mean = p / n
+    var = np.maximum(q / n - mean * mean, 0.0) * (n / (n - 1))
+    return p / (n - 1), np.sqrt(var / n)
 
 
 def covariance(batch: SampleBatch) -> EstimateWithError:
-    """Unbiased sample covariance of the unit pair, influence-function SE."""
-    return _cov_with_se(batch.u, batch.v, _checked_n("covariance estimation", batch.n))
+    """Unbiased sample covariance of the unit pair, influence-function SE: the
+    :func:`_cell_moments` of copies of u and v, so its last bits follow einsum's sums."""
+    n = _checked_n("covariance estimation", batch.n)
+    rows = [np.empty(n), np.empty(n)]
+
+    def copy(h: slice) -> list:
+        rows[0][h], rows[1][h] = batch.u[h], batch.v[h]
+        return [r[h].sum() for r in rows]
+
+    value, se = _cell_moments(rows, _halves(copy, n), [(0, 1)], n)
+    return EstimateWithError(float(value[0]), float(se[0]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +430,30 @@ def _norm_survival(prior: PriorSpec, z: float, y: np.ndarray, out: np.ndarray) -
     return survival(out, out=out)   # never where=: scipy.special ufuncs corrupt memory with it
 
 
+def _survival_rows(batch: SampleBatch, zs: np.ndarray) -> tuple[list, tuple]:
+    """One survival row of n float64s per threshold in zs, and each half's sum of every row.
+
+    Each half, [0, n//2) then [n//2, n), copies its norms into the last row, sorts them there
+    (2.4x faster survival), puts the zero norms (-0.0 too) first at their exact 0 or 1, and
+    fills its part of every row; the last row's survival overwrites the sorted norms last.
+    """
+    rows = [np.empty(batch.n) for _ in zs]
+
+    def fill(h: slice) -> list:
+        ys = rows[-1][h]
+        ys[...] = batch.prev_norms[h]
+        ys.sort()
+        k = np.searchsorted(ys, 0.0, "right")   # the zero-norm atom: a prefix at exact 0 or 1
+        sums = []
+        for z, row in zip(zs, rows):
+            row[h][:k] = z <= 0
+            _norm_survival(batch.prior, z, ys[k:], row[h][k:])
+            sums.append(row[h].sum())
+        return sums
+
+    return rows, _halves(fill, batch.n)
+
+
 def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
                        z2_values: Sequence[float]) -> DeltaGrid:
     """Upper-tail exceedance differences from conditional expectations of the indicators.
@@ -412,10 +462,11 @@ def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
     survival at z / y, normal or t; where y = 0 it is 1 for z <= 0 and 0 above.  Each
     distinct threshold's survival row is computed once, for both axes, and cell (a, b) is
     the sample covariance of rows z1[a] and z2[b]: it estimates the upper-tail
-    :func:`delta_grid` cell with never-larger asymptotic variance.  A row runs over each half's
-    norms sorted, [0, n//2) then [n//2, n) (2.4x faster survival), zero norms (-0.0 too) first
-    at their exact 0 or 1.  Rows hold n float64s per distinct threshold; the last one holds the
-    sorted norms until it is filled.  Tap ``"pre"`` only; ``null_std_error`` is None.
+    :func:`delta_grid` cell with never-larger asymptotic variance.  Rows run over each half's
+    sorted norms (:func:`_survival_rows`); each distinct row pair's value and SE come from
+    :func:`_cell_moments`, which centres and squares the rows in place, so the call holds n
+    float64s per distinct threshold and nothing more of size n.  Tap ``"pre"`` only;
+    ``null_std_error`` is None.
     """
     z1, z2 = _thresholds(z1_values, z2_values)
     if batch.tap != "pre":
@@ -427,19 +478,12 @@ def rao_blackwell_grid(batch: SampleBatch, z1_values: Sequence[float],
     n = _checked_n("Rao-Blackwell estimation", batch.n, z1, z2)
     # a row depends only on its threshold's value; index maps each axis entry to its row
     zs, index = np.unique(np.concatenate((z1, z2)), return_inverse=True)
-    rows = [np.empty(n) for _ in zs[1:]] + [batch.prev_norms.copy()]
-
-    def fill(h: slice) -> None:         # a pass fills its half of every row, in sorted-norm order
-        ys = rows[-1][h]                # sorted in place; the last row's survival overwrites it
-        ys.sort()
-        k = np.searchsorted(ys, 0.0, "right")   # the zero-norm atom: a prefix at exact 0 or 1
-        for z, row in zip(zs, rows):
-            row[h][:k] = z <= 0
-            _norm_survival(batch.prior, z, ys[k:], row[h][k:])
-
-    _pair(fill, slice(None, n // 2), slice(n // 2, None), n)
-    cells = [_cov_with_se(rows[i], rows[j], n) for i in index[:z1.size] for j in index[z1.size:]]
-    value, se = np.array([(c.value, c.std_error) for c in cells]).T.reshape(2, z1.size, z2.size)
+    # a cell and its mirror are one row pair: products commute, so their bits are equal
+    cells = [tuple(sorted((i, j))) for i in index[:z1.size] for j in index[z1.size:]]
+    slot = {c: k for k, c in enumerate(dict.fromkeys(cells))}
+    at = [slot[c] for c in cells]
+    value, se = (m[at].reshape(z1.size, z2.size)
+                 for m in _cell_moments(*_survival_rows(batch, zs), list(slot), n))
     return DeltaGrid(z1, z2, value, se, n)
 
 
@@ -458,7 +502,9 @@ def pd_profile(layer_samples: np.ndarray, z_values: Sequence[float]) -> PdProfil
     For each z, the right tail is the relative frequency of
     {X_1 >= 0, ..., X_{N-1} >= 0} among samples with X_N >= z; the left
     tail conditions on X_N <= z with <= events.  Empty conditioning events
-    yield None cells.
+    yield None cells.  Per tail, one :func:`_bins` pass places X_N among the distinct
+    thresholds and one ``bincount`` of (bin, event) pairs gives every cell's integer counts
+    by cumulative sums, whatever the order or repeats of ``z_values``.
     """
     samples = np.asarray(layer_samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] < 2:
@@ -468,23 +514,34 @@ def pd_profile(layer_samples: np.ndarray, z_values: Sequence[float]) -> PdProfil
     if z.ndim != 1 or z.size == 0:
         raise ValueError("positive-dependence estimation needs a non-empty list of thresholds")
     _sample_count("positive-dependence estimation", last, finite=(lead, z))
-    all_up = np.all(lead >= 0.0, axis=1)
-    all_down = np.all(lead <= 0.0, axis=1)
+    all_up, all_down = lead[:, 0] >= 0.0, lead[:, 0] <= 0.0
+    for col in lead.T[1:]:              # a column at a time: np.all(axis=1) is far slower
+        all_up &= col >= 0.0
+        all_down &= col <= 0.0
+    zu, at = np.unique(z, return_inverse=True)
+    last = np.ascontiguousarray(last)   # _bins runs a third faster on it than on the column
 
-    def tail_cells(cond: Callable[[float], np.ndarray], event: np.ndarray):
+    def tail_cells(side: str, event: np.ndarray) -> list[Optional[EstimateWithError]]:
+        # bin b holds the samples with b of zu at or below X_N (side right: the right tail's
+        # X_N >= zu[i] is b > i) or below it (left: X_N <= zu[i] is b <= i); the event
+        # rides in the key's low bit, so one bincount counts both
+        key = _bins(zu, last, side)
+        key <<= 1
+        key |= event
+        hist = np.bincount(key, minlength=2 * zu.size + 2).reshape(-1, 2)
+        counts = hist[::-1].cumsum(axis=0)[-2::-1] if side == "right" else hist.cumsum(axis=0)
         cells: list[Optional[EstimateWithError]] = []
-        for zi in z:
-            mask = cond(zi)
-            m = int(np.count_nonzero(mask))
+        for c0, c1 in counts[:zu.size].tolist():
+            m = c0 + c1
             if m == 0:
                 cells.append(None)
                 continue
-            p = int(np.count_nonzero(mask & event)) / m
+            p = c1 / m
             cells.append(EstimateWithError(p, float(np.sqrt(p * (1.0 - p) / m)), m))
-        return cells
+        return [cells[i] for i in at]
 
-    right = tail_cells(lambda zi: last >= zi, all_up)
-    left = tail_cells(lambda zi: last <= zi, all_down)
+    right = tail_cells("right", all_up)
+    left = tail_cells("left", all_down)
     min_right = min((c.value for c in right if c is not None), default=None)
     min_left = min((c.value for c in left if c is not None), default=None)
     return PdProfile(z, right, left, min_right, min_left)

@@ -46,13 +46,15 @@ class GridRange:
     hi: float = 1.0
     steps: int = 41
 
-    def values(self) -> np.ndarray:
+    def __post_init__(self) -> None:
         if not _integer(self.steps):
             raise ValueError(f"grid steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("grid needs at least 2 steps")
         if not (_finite(self.lo, self.hi) and self.lo < self.hi):
             raise ValueError(f"grid needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
+
+    def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
 
 

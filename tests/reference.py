@@ -4,13 +4,17 @@ The explicit-weight forward pass and weight sampler are the references for
 the projection sampler, the bootstrap SE is the reference for the closed-form
 standard errors, the rational enumerator is the reference for
 ``bnndep.exact.enumerate_exact_delta``, the argsort of every value is the
-reference for ``bnndep.estimators._ranks``, and the masked survival over each
-half's sorted norms is the reference for a Rao-Blackwell survival row.
+reference for ``bnndep.estimators._ranks``, the masked survival over each
+half's sorted norms is the reference for a Rao-Blackwell survival row, the
+integer-arithmetic covariance is the exact value the estimators' rounding is
+bounded against, and one mask per threshold is the reference for
+``bnndep.estimators.pd_profile``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -18,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from bnndep.estimators import _run_starts, _sample_count
+from bnndep.estimators import EstimateWithError, _run_starts, _sample_count
 from bnndep.network import (
     GAUSSIAN_EQUICORRELATED,
     STUDENT_T,
@@ -144,6 +148,49 @@ def rb_survival_row(prior: PriorSpec, z: float, y: np.ndarray) -> np.ndarray:
     over :func:`sorted_halves` of the norms, so each half's zero-norm prefix holds exact 0s or
     1s."""
     return masked_exceedance(prior, z, sorted_halves(y))
+
+
+def _scaled_ints(x: np.ndarray) -> tuple[list[int], int]:
+    """Integers X and a power of two d with x = X / d exactly."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
+
+
+def exact_covariance(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Sample covariance of the pairs (x_i, y_i) and its influence-function SE, the ddof-1
+    spread of (x_i - mean x)(y_i - mean y) over sqrt(n), in exact integer arithmetic: the
+    value rounds once, the SE's square twice and its square root once more."""
+    (xs, dx), (ys, dy) = _scaled_ints(x), _scaled_ints(y)
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    # n^2 dx dy times each centred product
+    prods = [(n * a - sx) * (n * b - sy) for a, b in zip(xs, ys)]
+    scale = n * n * dx * dy
+    p, q = sum(prods), sum(t * t for t in prods)
+    value = Fraction(p, scale * (n - 1))
+    se_squared = Fraction(n * q - p * p, n * n * (n - 1) * scale * scale)
+    return float(value), math.sqrt(se_squared)
+
+
+def masked_pd_cells(samples: np.ndarray, z: Sequence[float]) -> tuple[list, list]:
+    """``pd_profile``'s right and left cells from one mask per threshold and ``np.all`` over
+    the leading units: the form it had before it binned each tail once."""
+    lead, last = samples[:, :-1], samples[:, -1]
+
+    def cells(event, masks):
+        out = []
+        for mask in masks:
+            m = int(np.count_nonzero(mask))
+            if m == 0:
+                out.append(None)
+                continue
+            p = int(np.count_nonzero(mask & event)) / m
+            out.append(EstimateWithError(p, float(np.sqrt(p * (1.0 - p) / m)), m))
+        return out
+
+    return (cells(np.all(lead >= 0.0, axis=1), [last >= zi for zi in z]),
+            cells(np.all(lead <= 0.0, axis=1), [last <= zi for zi in z]))
 
 
 def rational_pre_pairs(widths, input, layer, unit_pair) -> list[tuple[Fraction, Fraction]]:

@@ -337,6 +337,32 @@ class TestConfigHandling:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(SEED_ERROR)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--prior-family", "student_t"], "student_t nu must be finite and exceed 2, got nan"),
+        (["--activation", "elu", "--elu-alpha", "0"], "elu alpha must be positive, got 0.0"),
+        (["--grid-steps", "1"], "grid needs at least 2 steps"),
+        (["--grid-lo", "1", "--grid-hi", "-1"], "grid needs finite lo < hi, got lo=1.0, hi=-1.0"),
+    ], ids=["unset_nu", "elu_alpha_0", "one_grid_step", "reversed_grid"])
+    @pytest.mark.parametrize("command", ["print-config", "concordance", "sweep"])
+    def test_document_no_command_runs_is_rejected_by_every_command(
+            self, tmp_path, capsys, command, flags, message):
+        # print-config used to print these documents and exit 0, and concordance ran the
+        # grid ones; every command now builds the run spec from the whole document
+        out = tmp_path / "o"
+        assert main([command, *flags, "--n", "1000", "--input-dim", "5", "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == f"bnndep: error: {message}\n"
+        assert not out.exists()
+
+    def test_valid_document_printed_as_resolved(self, capsys):
+        flags = ["--prior-family", "student_t", "--nu", "5", "--activation", "elu",
+                 "--elu-alpha", "0.5", "--grid-steps", "3", "--grid-lo", "-2"]
+        assert main(["print-config", *flags]) == 0
+        want = {**DEFAULT_CONFIG, "grid": {"lo": -2.0, "hi": 1.0, "steps": 3},
+                "activation": {"kind": "elu", "alpha": 0.5},
+                "prior": {**DEFAULT_CONFIG["prior"], "family": "student_t", "nu": 5.0}}
+        assert capsys.readouterr().out == _json_text(want)
+
     @staticmethod
     def config_exit(tmp_path, capsys, text, *args):
         cfg = tmp_path / "run.json"

@@ -40,7 +40,13 @@ from bnndep.sampling import (
     generate_input,
     sample_units,
 )
-from reference import bootstrap_std_error, masked_exceedance, rb_survival_row
+from reference import (
+    bootstrap_std_error,
+    exact_covariance,
+    masked_exceedance,
+    masked_pd_cells,
+    rb_survival_row,
+)
 
 
 def make_batch(u, v, layer=2, prev_norms=None):
@@ -376,20 +382,10 @@ class TestCovariance:
             assert e.value >= -1e-9
 
 
-def grid_row(monkeypatch, batch, z):
-    """The survival row that rao_blackwell_grid(batch, [z], [z]) hands to its covariance."""
-    seen = []
-    cov = estimators._cov_with_se
-
-    def recording(x, y, n):
-        seen.append(x.copy())
-        return cov(x, y, n)
-
-    with monkeypatch.context() as m:
-        m.setattr(estimators, "_cov_with_se", recording)
-        rao_blackwell_grid(batch, [z], [z])
-    (row,) = seen
-    return row
+def survival_row(batch, z):
+    """rao_blackwell_grid's survival row for threshold z, and each half's sum of it."""
+    (row,), (low, high) = estimators._survival_rows(batch, np.array([z]))
+    return row, (low[0], high[0])
 
 
 class TestConditionalExceedance:
@@ -410,12 +406,12 @@ class TestConditionalExceedance:
         assert got == pytest.approx(0.5 * erfc(1 / np.sqrt(2)), abs=1e-15)
         assert got == pytest.approx(0.15865525393145707, abs=1e-12)
 
-    def test_zero_norm_is_indicator(self, monkeypatch):
+    def test_zero_norm_is_indicator(self):
         y = np.array([0.0, 1.0, -0.0, 2.0])     # halves (0, 1) and (-0, 2): a zero leads each
         for prior in (PriorSpec(), PriorSpec(family="student_t", nu=3.0)):
             batch = SampleBatch(np.zeros(4), np.ones(4), 2, "pre", prior, y)
             for z, atom in ((-1.0, 1.0), (0.0, 1.0), (0.5, 0.0)):
-                assert grid_row(monkeypatch, batch, z)[[0, 2]].tolist() == [atom, atom]
+                assert survival_row(batch, z)[0][[0, 2]].tolist() == [atom, atom]
 
     def test_tiny_norm_overflows_to_exact_survival_quietly(self):
         y = np.array([5e-324, 1e-310])          # z / y overflows to +-inf for |z| >= 1
@@ -483,14 +479,6 @@ ATOM_THRESHOLDS = [-1.0, -0.0, 0.0, 0.5]
 GRID_NEG_ZERO, GRID_ZERO = (-1.0, -0.0, 0.5), (-0.25, 0.0, 0.75, 1.5)
 
 
-def reference_covariance(x, y):
-    """Covariance and influence-function SE with fresh arrays at every step."""
-    n = x.shape[0]
-    prod = (x - x.mean()) * (y - y.mean())
-    psi = prod - prod.mean()
-    return float(prod.sum() / (n - 1)), float(psi.std(ddof=1) / np.sqrt(n))
-
-
 def norms_with_dead_rows(n=1000, seed=41):
     y = np.abs(np.random.default_rng(seed).standard_normal(n))
     y[::5] = 0.0
@@ -505,33 +493,57 @@ def gamma(k):
     return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
 
 
-def rounding_bounds(x, y):
-    """Bounds on how far _cov_with_se(x, y)'s value and SE lie from the exact ones, for rows
-    x, y in [0, 1], fixed before any run from Higham's analysis, whatever order the sums run in.
+def rounding_bounds(x, y, exact):
+    """Bounds on how far _cell_moments' value and SE for rows x and y lie from ``exact``,
+    their :func:`exact_covariance`, fixed before any run from Higham 2002, sections 3-4.
 
-    numpy sums pairwise over leaves of at most 128 terms, so no term meets more than
-    k = 128 + ceil(log2 n) roundings: a sum is within gamma_k sum|terms| of exact, a mean of
-    values in [-1, 1] within gamma_(k+1).  Value: the products' sum adds gamma_k sum|p| and
-    the centring and product roundings gamma_3 sum|p|; the means' errors cancel to first
-    order (centred values sum to 0) and leave n times products of two of them (6 n
-    gamma_(k+1)^2 with the cross terms), and the division one ulp.  SE: each influence value
-    psi is then within e = 20 gamma_(k+1) of exact (products 3, each centring 7, gamma_(k+1)
-    units), so the sum of squares moves by at most gamma_(k+2) sum psi^2 + sum (2|psi| + 3e) e,
-    its square root by that over sqrt(sum psi^2), and the last three operations by gamma_4.
+    Means: numpy sums each half of m <= ceil(n / 2) terms pairwise over leaves of at most 128
+    terms, and no sum of m terms rounds a term more than m times, so with the halves' sum and
+    the division a mean meets k = min(m, 128 + ceil(log2 m)) + 2 roundings and is off by at
+    most d = gamma_k mean|x|.  Sums of products: einsum runs a half's m <= ceil(n / 2)
+    products through L >= 1 SIMD lanes, serially within each, then adds the lanes into a
+    zeroed output, so in any such order a term meets at most m + 1 roundings (its product's
+    included); the halves' sum adds one and the centring two.  With the centred rows a, b and
+    A = |a| + 2d, B = |b| + 2d (2d: this bound's own float centring too), sum a'b' is off by
+    e_p = gamma_(m+4) sum AB + 4 n d_x d_y (the mean errors cancel to that, as sum a = 0) and
+    sum a'^2 b'^2, whose squares round twice more each, by
+    e_q = gamma_(m+8) sum A^2 B^2 + sum (A^2 B^2 - a^2 b^2).  Value: e_p / (n - 1) and the
+    division's ulp.  SE: mean(q) - mean(p)^2 is off by E, the errors of its two terms (the
+    cancellation term is the square's: e_m (2 sum AB / n + e_m), with e_m the mean's error)
+    and of its subtraction; SE^2 = that / (n - 1) moves the square root by at most
+    min(sqrt(E'), E' / SE) for E' = E / (n - 1), and its last four roundings by gamma_4 SE.
     """
     n = x.shape[0]
-    k = 128 + int(np.ceil(np.log2(n)))
-    g = gamma(k + 1)
-    prod = (x - x.mean()) * (y - y.mean())
-    value = prod.sum() / (n - 1)
-    value_bound = (gamma(k + 3) * np.abs(prod).sum() + 6 * n * g * g) / (n - 1)
-    psi = prod - prod.mean()
-    psi -= psi.mean()
-    e, sq = 20 * g, (psi * psi).sum()
-    moved = gamma(k + 2) * sq + ((2 * np.abs(psi) + 3 * e) * e).sum()
-    se = np.sqrt(sq / (n - 1)) / np.sqrt(n)
-    return (value_bound + UNIT_ROUNDOFF * abs(value),
-            moved / np.sqrt(sq * (n - 1) * n) + gamma(4) * se)
+    m = n - n // 2
+    u = UNIT_ROUNDOFF
+    k = min(m, 128 + int(np.ceil(np.log2(m)))) + 2
+    dx, dy = (gamma(k) * np.abs(r).mean() for r in (x, y))
+    a, b = x - x.mean(), y - y.mean()
+    ab = np.abs(a * b)
+    big_ab = (np.abs(a) + 2 * dx) * (np.abs(b) + 2 * dy)
+    s1, s2 = big_ab.sum(), (big_ab * big_ab).sum()
+    e_p = gamma(m + 4) * s1 + n * (2 * dx) * (2 * dy)
+    e_q = gamma(m + 8) * s2 + (s2 - (ab * ab).sum())
+    value, se = exact
+    value_bound = e_p / (n - 1) * (1 + u) + u * abs(value)
+    e_m = (e_p + u * (s1 + e_p)) / n
+    mean_sq = e_m * (2 * s1 / n + e_m) + u * (s1 / n + e_m) ** 2
+    mean_q = (e_q + u * (s2 + e_q)) / n
+    e_var = mean_q + mean_sq + u * ((s2 + e_q) / n + (s1 / n + e_m) ** 2)
+    e_se2 = e_var / (n - 1)
+    moved = min(np.sqrt(e_se2), e_se2 / se if se > 0 else np.inf)
+    return value_bound, moved + gamma(4) * (se + moved)
+
+
+def assert_within_rounding(got, x, y):
+    """got, the cell of rows x and y, lies within rounding_bounds of their exact covariance."""
+    want = exact_covariance(x, y)
+    bound = rounding_bounds(x, y, want)
+    # small enough to catch a mispaired row: below 1e-7 of the mean |influence value|, which
+    # the SE's cancellation term, about sqrt(u) |value| where the influence spread is 0, meets
+    assert max(bound) < 1e-7 * np.abs((x - x.mean()) * (y - y.mean())).mean()
+    assert abs(got.value - want[0]) <= bound[0]
+    assert abs(got.std_error - want[1]) <= bound[1]
 
 
 class TestKernelBits:
@@ -548,44 +560,60 @@ class TestKernelBits:
         want = rb_survival_row(prior, z, y)
         for pair_min in (y.shape[0] + 1, 2):      # serial, then threaded
             monkeypatch.setattr(estimators, "_PAIR_MIN", pair_min)
-            got = grid_row(monkeypatch, batch, z)
+            got, sums = survival_row(batch, z)
             assert got.tobytes() == want.tobytes()
+            assert np.array(sums).tobytes() == np.array([want[:500].sum(),
+                                                         want[500:].sum()]).tobytes()
             # each half's dead rows, a fifth of it, lead the half at the atom's exact survival
             for half in (got[:500], got[500:]):
                 assert np.all(half[:100] == (1.0 if z <= 0 else 0.0))
         assert y.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
-    def test_rao_blackwell_keeps_its_bits_and_the_inputs(self, prior):
+    def test_rao_blackwell_within_its_rounding_bound_keeps_the_inputs(self, prior):
         y = norms_with_dead_rows()
         u, v = np.random.default_rng(43).standard_normal((2, y.shape[0]))
         kept = [a.copy() for a in (u, v, y)]
         batch = SampleBatch(u, v, 2, "pre", prior, y)
         for z1, z2 in itertools.product(ATOM_THRESHOLDS, repeat=2):
-            e = rao_blackwell_delta(batch, z1, z2)
-            want = reference_covariance(rb_survival_row(prior, z1, y),
-                                        rb_survival_row(prior, z2, y))
-            assert (e.value.hex(), e.std_error.hex()) == tuple(w.hex() for w in want)
+            assert_within_rounding(rao_blackwell_delta(batch, z1, z2),
+                                   rb_survival_row(prior, z1, y), rb_survival_row(prior, z2, y))
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, y), kept))
 
     @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.family)
     @pytest.mark.parametrize("z1s, z2s", [(GRID_NEG_ZERO, GRID_ZERO), (GRID_ZERO, GRID_NEG_ZERO)],
                              ids=["neg_zero_by_zero", "zero_by_neg_zero"])
-    def test_rao_blackwell_grid_keeps_its_bits_and_the_inputs(self, prior, z1s, z2s):
+    def test_rao_blackwell_grid_within_its_rounding_bound_keeps_the_inputs(self, prior, z1s,
+                                                                          z2s):
         y = norms_with_dead_rows()
         u, v = np.random.default_rng(47).standard_normal((2, y.shape[0]))
         kept = [a.copy() for a in (u, v, y)]
-        grid = rao_blackwell_grid(SampleBatch(u, v, 2, "pre", prior, y), z1s, z2s)
+        batch = SampleBatch(u, v, 2, "pre", prior, y)
+        grid = rao_blackwell_grid(batch, z1s, z2s)
         assert grid.value.shape == grid.std_error.shape == (len(z1s), len(z2s))
         assert grid.null_std_error is None and grid.n == y.shape[0]
         assert grid.z1_values.tobytes() == np.array(z1s).tobytes()
         assert grid.z2_values.tobytes() == np.array(z2s).tobytes()
         for (a, z1), (b, z2) in itertools.product(enumerate(z1s), enumerate(z2s)):
-            want = reference_covariance(rb_survival_row(prior, z1, y),
-                                        rb_survival_row(prior, z2, y))
             got = grid.cell(a, b)
-            assert (got.value.hex(), got.std_error.hex()) == tuple(w.hex() for w in want)
+            assert_within_rounding(got, rb_survival_row(prior, z1, y),
+                                   rb_survival_row(prior, z2, y))
+            # the scalar estimator is the grid's cell, bit for bit
+            assert bits(rao_blackwell_delta(batch, z1, z2)) == bits(got)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, y), kept))
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_two_valued_row_with_no_influence_spread(self, n):
+        # at z = 0 a row is 1 on the zero norms and 1/2 elsewhere: with half the norms zero,
+        # every influence value (row - mean)^2 is (near) one number, and the SE's
+        # mean(a^2 b^2) - mean(a b)^2 cancels to (near) 0
+        y = np.abs(np.random.default_rng(n).standard_normal(n))
+        y[: n // 2] = 0.0
+        batch = SampleBatch(*np.zeros((2, n)), 2, "pre", PriorSpec(), y)
+        row = rb_survival_row(PriorSpec(), 0.0, y)
+        assert set(row.tolist()) == {0.5, 1.0}
+        assert exact_covariance(row, row)[1] < 1e-5
+        assert_within_rounding(rao_blackwell_delta(batch, 0.0, 0.0), row, row)
 
     @pytest.mark.parametrize("z1s, z2s, distinct", [
         ((-0.5, 0.0, 0.5), (-0.5, 0.0, 0.5), 3),   # criterion 9's axes
@@ -650,20 +678,17 @@ class TestKernelBits:
             for (a, z1), (b, z2) in itertools.product(enumerate(z1s), enumerate(z2s)):
                 rows = masked_exceedance(prior, z1, y), masked_exceedance(prior, z2, y)
                 grid_rows = rb_survival_row(prior, z1, y[p]), rb_survival_row(prior, z2, y[p])
-                bound = np.add(rounding_bounds(*rows), rounding_bounds(*grid_rows))
-                assert np.all(bound < 1e-9)     # small enough to catch a mispaired row
-                want, got = reference_covariance(*rows), grid.cell(a, b)
-                assert abs(got.value - want[0]) <= bound[0]
-                assert abs(got.std_error - want[1]) <= bound[1]
+                # the exact covariance does not see the order, so the grid's rows stand for
+                # the sample-order rows: the same values, permuted
+                assert exact_covariance(*rows) == exact_covariance(*grid_rows)
+                assert_within_rounding(grid.cell(a, b), *grid_rows)
 
     @pytest.mark.parametrize("n", [2, 3, 1000, 100_001])
-    def test_covariance_keeps_its_bits_and_the_inputs(self, n):
+    def test_covariance_within_its_rounding_bound_keeps_the_inputs(self, n):
         u, v = np.random.default_rng(n).standard_normal((2, n))
         u[::3] = 0.0
         kept = u.copy(), v.copy()
-        e = covariance(make_batch(u, v))
-        want = reference_covariance(*kept)
-        assert (e.value.hex(), e.std_error.hex()) == tuple(w.hex() for w in want)
+        assert_within_rounding(covariance(make_batch(u, v)), *kept)
         assert u.tobytes() == kept[0].tobytes() and v.tobytes() == kept[1].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -787,6 +812,31 @@ class TestPdProfile:
             mm[row, col] = bad
             with pytest.raises(ValueError, match="positive-dependence estimation needs finite"):
                 pd_profile(mm, [0.0])
+
+    def test_cells_equal_one_mask_per_threshold_bitwise(self):
+        # unsorted and repeated thresholds, ones on sample values, on the zero atom (0.0 and
+        # -0.0) and beyond every sample (+-9); 2 to 4 units, some rounded into ties
+        rng = np.random.default_rng(12)
+
+        def cell_bits(cells):
+            return [c and (c.value.hex(), c.std_error.hex(), c.n) for c in cells]
+
+        for case in range(100):
+            n, units = int(rng.integers(2, 300)), int(rng.integers(2, 5))
+            m = rng.standard_normal((n, units))
+            if case % 3 == 0:
+                m[rng.random((n, units)) < 0.3] = 0.0
+            if case % 4 == 1:
+                m = np.round(m, 1)
+            pool = np.concatenate((m[:, -1], [-9.0, 9.0, 0.0, -0.0]))
+            z = rng.choice(pool, int(rng.integers(1, 12)))
+            z = np.concatenate((z, z[:2]))
+            rng.shuffle(z)
+            prof = pd_profile(m, z)
+            right, left = masked_pd_cells(m, z)
+            assert cell_bits(prof.right_tail) == cell_bits(right)
+            assert cell_bits(prof.left_tail) == cell_bits(left)
+            assert prof.z_values.tobytes() == z.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_threshold_rejected(self, bad):
