@@ -211,11 +211,10 @@ def delta_grid(
     # bin each sample by the thresholds below it (at or below it for the upper
     # tail); prefix sums then count u <= z1[a] (lower) or u < z1[a] (upper)
     side = "left" if tail == LOWER else "right"
-    ai, bi = _pair(lambda zx: _bins(*zx, side), (z1, u), (z2, v), n)
-    # the flat bin index, built in place so no n-length temporary joins ai and bi
+    ai = _bins(z1, u, side)
+    # the flat bin index, built in place so no n-length temporary joins the two binnings
     ai *= g2 + 1
-    ai += bi
-    del bi
+    ai += _bins(z2, v, side)
     hist = np.bincount(ai, minlength=(g1 + 1) * (g2 + 1))
     pre = hist.reshape(g1 + 1, g2 + 1).cumsum(axis=0).cumsum(axis=1)
     c11, c1, c2 = pre[:g1, :g2], pre[:g1, g2], pre[g1, :g2]

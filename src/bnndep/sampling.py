@@ -5,11 +5,11 @@ weights: given the previous layer's output h, the pre-activations of the
 layer's units are i.i.d. ``sqrt(h' Sigma h) * xi``, with xi standard normal
 for the Gaussian families and Student-t for ``student_t`` (Cambanis, Huang
 & Simons 1981).  Draws are organized in fixed-size blocks of samples.  Each
-block owns a private counter-based random stream keyed by (master seed,
-namespace, stream label, block index), so any number of worker threads can
-fill disjoint blocks and the result is a pure function of (config, input,
-seed, n) -- independent of thread count and scheduling.  Draws on two child
-seeds of one master seed are independent copies of the networks;
+block owns private SFC64 streams keyed by (master seed, namespace, stream
+label, block index), so any number of worker threads can fill disjoint
+blocks and the result is a pure function of (config, input, seed, n) --
+independent of thread count and scheduling.  Draws on two child seeds of
+one master seed are independent copies of the networks;
 ``combine_copies`` adds or subtracts two of them row by row.
 """
 
@@ -60,7 +60,7 @@ class SeedSpec:
 
     def stream(self, *label: int) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.namespace + tuple(label))
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def _as_seed(seed) -> SeedSpec:
@@ -172,11 +172,11 @@ def _sample(
 ) -> list[list[np.ndarray]]:
     """Checked block loop behind :func:`sample_layer` and :func:`sample_taps`.
 
-    One list per layer of the strictly increasing ``layers``: the (n, H_layer)
-    matrix with no ``unit_pair``, else an (n,) vector per unit (the full
-    matrix is never stored), then the previous-layer norms if ``want_norms``.
+    One list per layer of the strictly increasing ``layers``: the (n, H_layer) matrix with no
+    ``unit_pair``, else an (n,) vector per unit, then the previous-layer norms if ``want_norms``.
+    Units are drawn as rows, and the deepest layer's only up to the higher unit of the pair.
     """
-    # block k reads stream (STREAM_WEIGHTS, 0, k) under the seed's namespace
+    # block k reads stream (STREAM_WEIGHTS, 0, k) and student_t's mixing its sibling (..., k, 1)
     streams = _as_seed(seed).child(STREAM_WEIGHTS, 0)
     widths = config.widths
     if not layers or any(a >= b for a, b in zip(layers, layers[1:])):
@@ -194,21 +194,23 @@ def _sample(
     picks = [slice(None)] if unit_pair is None else list(unit_pair)
     outs = {layer: [np.empty((n, widths[layer]) if unit_pair is None else n) for _ in picks]
             + ([np.empty(n)] if want_norms else []) for layer in layers}
+    last_rows = widths[layers[-1]] if unit_pair is None else max(unit_pair) + 1
 
     def job(k: int, start: int, count: int) -> None:
-        rng = streams.stream(k)
-        h = x[None, :]
+        rng, mix = streams.stream(k), None
+        h = x[:, None]
         for layer, prior in enumerate(config.priors[: layers[-1]], 1):
-            norm = np.sqrt(prior.scatter_quadratic(h, widths[layer - 1]))
-            pre = rng.standard_normal((count, widths[layer]))
+            norm = np.sqrt(prior.scatter_quadratic(h.T, widths[layer - 1]))
+            pre = rng.standard_normal((last_rows if layer == layers[-1] else widths[layer], count))
             if prior.family == STUDENT_T:
-                pre *= np.sqrt(prior.nu / rng.chisquare(prior.nu, pre.shape))
-            pre *= norm[:, None]
+                mix = mix or streams.stream(k, 1)
+                pre *= np.sqrt(prior.nu / mix.chisquare(prior.nu, pre.shape))
+            pre *= norm
             h = config.activation(pre)
             if layer in outs:
                 vals = pre if tap == "pre" else h
                 for out, pick in zip(outs[layer], picks):
-                    out[start : start + count] = vals[:, pick]
+                    out[start : start + count] = vals[pick].T
                 if want_norms:
                     outs[layer][-1][start : start + count] = norm
 

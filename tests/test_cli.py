@@ -289,7 +289,7 @@ class TestConfigHandling:
     def test_print_config_has_all_defaults(self, capsys):
         assert main(["print-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        # written out, since DEFAULT_CONFIG is derived from the flag table
+        # written out, since DEFAULT_CONFIG is derived from SweepSpec's defaults
         assert doc == {
             "depths": [2, 3, 4],
             "widths": [2, 5, 10],

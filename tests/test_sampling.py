@@ -68,15 +68,30 @@ class TestSeeds:
             assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
     def test_stream_keys_are_the_seed_sequence_spawn_keys(self):
-        # the mapping from seed to bits: master seed as entropy, namespace and labels as key
-        def philox(entropy, key):
+        # the mapping from seed to bits: master seed as entropy, namespace and labels as key,
+        # SFC64 streams; sampler block k reads key (STREAM_WEIGHTS, 0, k) for its normals,
+        # drawn with units as rows, and the sibling key (STREAM_WEIGHTS, 0, k, 1) for
+        # student_t's chi-square mixing
+        def sfc64(entropy, key):
             seq = np.random.SeedSequence(entropy, spawn_key=key)
-            return np.random.Generator(np.random.Philox(seq)).standard_normal(4)
+            return np.random.Generator(np.random.SFC64(seq))
 
         seed = SeedSpec(3, (1, 2))
-        assert np.array_equal(seed.stream(0).standard_normal(4), philox(3, (1, 2, 0)))
-        assert np.array_equal(seed.child(5).stream(0).standard_normal(4), philox(3, (1, 2, 5, 0)))
-        assert np.array_equal(generate_input(4, 9), philox(9, (sampling.STREAM_INPUT,)))
+        assert np.array_equal(seed.stream(0).standard_normal(4),
+                              sfc64(3, (1, 2, 0)).standard_normal(4))
+        assert np.array_equal(seed.child(5).stream(0).standard_normal(4),
+                              sfc64(3, (1, 2, 5, 0)).standard_normal(4))
+        x = generate_input(4, 9)
+        assert np.array_equal(x, sfc64(9, (sampling.STREAM_INPUT,)).standard_normal(4))
+        prior = PriorSpec(family="student_t", nu=3.0)
+        cfg = uniform_config(4, 3, 1, IDENTITY, prior)
+        block = (sampling.STREAM_WEIGHTS, 0, 0)
+        pre = sfc64(9, block).standard_normal((3, 5))
+        pre *= np.sqrt(3.0 / sfc64(9, block + (1,)).chisquare(3.0, (3, 5)))
+        pre *= np.sqrt(prior.scatter_quadratic(x, 4))
+        assert np.array_equal(sample_layer(cfg, x, 1, 5, 9), pre.T)
+        batch = sample_units(cfg, x, 1, (2, 0), "pre", 5, 9)
+        assert np.array_equal(batch.u, pre[2]) and np.array_equal(batch.v, pre[0])
 
 
 class TestWeightMatrix:
@@ -265,24 +280,32 @@ class TestChildCopies:
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
-class TestSampleLayer:
-    def test_matches_unit_extraction(self, small_setup):
-        x, cfg = small_setup
-        mat = sample_layer(cfg, x, 2, 600, SeedSpec(30))
-        batch = sample_units(cfg, x, 2, (0, 2), "pre", 600, SeedSpec(30))
-        assert np.array_equal(mat[:, 0], batch.u)
-        assert np.array_equal(mat[:, 2], batch.v)
-
-    def test_shape(self, small_setup):
-        x, cfg = small_setup
-        assert sample_layer(cfg, x, 1, 17, SeedSpec(2)).shape == (17, 3)
-
-
 TAP_PRIORS = {
     "gaussian": PriorSpec(),
     "equicorrelated": PriorSpec(family="equicorrelated", rho=0.3),
     "student_t": PriorSpec(family="student_t", nu=3.0),
 }
+
+
+class TestSampleLayer:
+    @pytest.mark.parametrize("family", sorted(TAP_PRIORS))
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tap", ["pre", "post"])
+    @pytest.mark.parametrize("width, pair", [(3, (0, 2)), (5, (0, 1)), (5, (3, 1))])
+    def test_matches_unit_extraction(self, family, workers, tap, width, pair):
+        # sample_units draws layer 2 only up to its higher unit, sample_layer all of it;
+        # 9000 draws span three blocks, so two workers split the blocks
+        x = generate_input(7, SeedSpec(80))
+        cfg = uniform_config(7, width, 2, RELU, TAP_PRIORS[family])
+        mat = sample_layer(cfg, x, 2, 9000, SeedSpec(30), tap, workers=workers)
+        batch = sample_units(cfg, x, 2, pair, tap, 9000, SeedSpec(30), want_norms=True,
+                             workers=workers)
+        assert np.array_equal(mat[:, pair[0]], batch.u)
+        assert np.array_equal(mat[:, pair[1]], batch.v)
+
+    def test_shape(self, small_setup):
+        x, cfg = small_setup
+        assert sample_layer(cfg, x, 1, 17, SeedSpec(2)).shape == (17, 3)
 
 
 class TestSampleTaps:
@@ -291,19 +314,21 @@ class TestSampleTaps:
     @pytest.mark.parametrize("tap", ["pre", "post"])
     @pytest.mark.parametrize("layers, norms, child", [((1, 2, 4), False, ()),
                                                       ((2, 3), True, (1,))])
+    @pytest.mark.parametrize("width, pair", [(3, (2, 0)), (5, (0, 1)), (5, (3, 1))])
     def test_each_tap_equals_a_separate_draw_of_its_depth(self, family, workers, tap, layers,
-                                                          norms, child):
+                                                          norms, child, width, pair):
         # 9000 draws span three blocks, so two workers split the blocks; child (1,)
-        # is the second copy of the networks
+        # is the second copy of the networks; at width 5 each separate draw stops its
+        # deepest layer at the higher unit, where the joint draw takes the whole layer
         x = generate_input(7, SeedSpec(80))
         seed = SeedSpec(81).child(*child)
-        config = uniform_config(7, 3, 4, RELU, TAP_PRIORS[family])
-        taps = sample_taps(config, x, layers, (2, 0), tap, 9000, seed, want_norms=norms,
+        config = uniform_config(7, width, 4, RELU, TAP_PRIORS[family])
+        taps = sample_taps(config, x, layers, pair, tap, 9000, seed, want_norms=norms,
                            workers=workers)
         assert [b.layer for b in taps] == list(layers)
         for batch in taps:
-            solo = sample_units(uniform_config(7, 3, batch.layer, RELU, TAP_PRIORS[family]), x,
-                                batch.layer, (2, 0), tap, 9000, seed, want_norms=norms)
+            solo = sample_units(uniform_config(7, width, batch.layer, RELU, TAP_PRIORS[family]),
+                                x, batch.layer, pair, tap, 9000, seed, want_norms=norms)
             assert np.array_equal(batch.u, solo.u) and np.array_equal(batch.v, solo.v)
             assert (batch.tap, batch.prior) == (solo.tap, solo.prior)
             assert (batch.prev_norms is None if not norms
