@@ -113,7 +113,7 @@ def enumerate_exact_delta(
     and thresholds, so no rounding can move a pre-activation across one.
     Deterministic and invariant under relabeling of the two units.
     """
-    _check_query(spec.widths, layer, unit_pair, "pre")
+    _check_query(spec.widths, layer, unit_pair)
     j1, j2 = unit_pair
     if not _finite(z1, z2):
         raise ValueError(f"thresholds must be finite, got {z1}, {z2}")

@@ -76,9 +76,10 @@ def _check_tap(tap: str) -> None:
 class SampleBatch:
     """Paired draws of two designated units of one layer.
 
-    ``prev_norms`` (present when requested) holds the scatter-weighted norm
-    of the previous layer's post-activation vector for each draw, the scalar
-    that the conditional exceedance probability of a unit depends on.
+    ``u`` and ``v`` hold pre-activations, or at tap ``"post"`` their activation, which the
+    sampler applies once to its finished rows.  ``prev_norms`` (present when requested) holds the
+    scatter-weighted norm of the previous layer's post-activation vector for each draw, the
+    scalar that the conditional exceedance probability of a unit depends on.
 
     Built once checked (1-D, equal lengths, finite, norms >= 0), it holds read-only float64
     views of the arrays (of a float64 copy for other dtypes), so an estimator that writes into
@@ -146,11 +147,8 @@ def generate_input(dim: int, seed) -> np.ndarray:
 # Block engine
 # ---------------------------------------------------------------------------
 
-def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
-    """Reject a layer, unit pair or tap that a net of ``widths`` (input first) cannot serve.
-
-    ``unit_pair=None`` asks for the whole layer.
-    """
+def _check_query(widths, layer: int, unit_pair) -> None:
+    """Reject a layer or unit pair (None: the whole layer) that a net of ``widths`` can't serve."""
     if not (_integer(layer) and 1 <= layer <= len(widths) - 1):
         raise ValueError(f"layer {layer!r} is not an integer in 1..{len(widths) - 1}")
     if unit_pair is not None:
@@ -163,18 +161,18 @@ def _check_query(widths, layer: int, unit_pair, tap: str) -> None:
             raise ValueError("unit pair must name two distinct units")
         if not (0 <= j1 < widths[layer] and 0 <= j2 < widths[layer]):
             raise ValueError(f"unit indices {unit_pair} out of range for width {widths[layer]}")
-    _check_tap(tap)
 
 
 def _sample(
     config: NetworkConfig, input: np.ndarray, layers: tuple[int, ...], unit_pair, tap: str,
     n: int, seed, workers: int, want_norms: bool = False,
-) -> list[list[np.ndarray]]:
+) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
     """Checked block loop behind :func:`sample_layer` and :func:`sample_taps`.
 
-    One list per layer of the strictly increasing ``layers``: the (n, H_layer) matrix with no
-    ``unit_pair``, else an (n,) vector per unit, then the previous-layer norms if ``want_norms``.
-    Units are drawn as rows, and the deepest layer's only up to the higher unit of the pair.
+    One (rows, norms) pair per strictly increasing layer: the (units, n) values of all H_layer
+    units or of ``unit_pair``'s two, and the previous-layer norms or None.  The blocks keep
+    pre-activations, drawn as rows, the deepest layer's only up to the higher unit of the pair;
+    a post tap is the activation applied once to the finished rows.
     """
     # block k reads stream (STREAM_WEIGHTS, 0, k) and student_t's mixing its sibling (..., k, 1)
     streams = _as_seed(seed).child(STREAM_WEIGHTS, 0)
@@ -182,7 +180,8 @@ def _sample(
     if not layers or any(a >= b for a, b in zip(layers, layers[1:])):
         raise ValueError(f"layers must be a non-empty, strictly increasing tuple, got {layers!r}")
     for layer in layers:
-        _check_query(widths, layer, unit_pair, tap)
+        _check_query(widths, layer, unit_pair)
+    _check_tap(tap)
     if not (_integer(n) and _integer(workers) and n >= 0 and workers >= 1):
         raise ValueError(f"n must be an integer >= 0 and workers an integer >= 1, "
                          f"got n={n!r}, workers={workers!r}")
@@ -191,28 +190,25 @@ def _sample(
     x = np.asarray(input, dtype=np.float64)
     if x.shape != (widths[0],):
         raise ValueError(f"input shape {x.shape} != ({widths[0]},)")
-    picks = [slice(None)] if unit_pair is None else list(unit_pair)
-    outs = {layer: [np.empty((n, widths[layer]) if unit_pair is None else n) for _ in picks]
-            + ([np.empty(n)] if want_norms else []) for layer in layers}
+    rows = slice(None) if unit_pair is None else list(unit_pair)
+    outs = {layer: np.empty((widths[layer] if unit_pair is None else 2, n)) for layer in layers}
+    norms = {layer: np.empty(n) for layer in layers} if want_norms else {}
     last_rows = widths[layers[-1]] if unit_pair is None else max(unit_pair) + 1
 
     def job(k: int, start: int, count: int) -> None:
         rng, mix = streams.stream(k), None
-        h = x[:, None]
         for layer, prior in enumerate(config.priors[: layers[-1]], 1):
+            h = x[:, None] if layer == 1 else config.activation(pre)
             norm = np.sqrt(prior.scatter_quadratic(h.T, widths[layer - 1]))
             pre = rng.standard_normal((last_rows if layer == layers[-1] else widths[layer], count))
             if prior.family == STUDENT_T:
                 mix = mix or streams.stream(k, 1)
                 pre *= np.sqrt(prior.nu / mix.chisquare(prior.nu, pre.shape))
             pre *= norm
-            h = config.activation(pre)
             if layer in outs:
-                vals = pre if tap == "pre" else h
-                for out, pick in zip(outs[layer], picks):
-                    out[start : start + count] = vals[pick].T
-                if want_norms:
-                    outs[layer][-1][start : start + count] = norm
+                outs[layer][:, start : start + count] = pre[rows]
+            if layer in norms:
+                norms[layer][start : start + count] = norm
 
     tasks = [(k, start, min(_BLOCK, n - start)) for k, start in enumerate(range(0, n, _BLOCK))]
     if workers <= 1 or len(tasks) <= 1:
@@ -222,15 +218,17 @@ def _sample(
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
             # blocks write to disjoint output slices, so completion order is irrelevant
             list(ex.map(lambda t: job(*t), tasks))
-    return [outs[layer] for layer in layers]
+    if tap == "post":
+        outs = {layer: config.activation(rows) for layer, rows in outs.items()}
+    return [(outs[layer], norms.get(layer)) for layer in layers]
 
 
 def sample_layer(
     config: NetworkConfig, input: np.ndarray, layer: int, n: int, seed, tap: str = "pre",
     workers: int = 1,
 ) -> np.ndarray:
-    """(n, H_layer) matrix of one layer's tapped values over n prior draws."""
-    return _sample(config, input, (layer,), None, tap, n, seed, workers)[0][0]
+    """(n, H_layer) matrix of one layer's tapped values over n prior draws, a transposed view."""
+    return _sample(config, input, (layer,), None, tap, n, seed, workers)[0][0].T
 
 
 def sample_units(
@@ -255,6 +253,8 @@ def sample_taps(
     Layer l never sees later layers, so its batch equals, bit for bit,
     ``sample_units`` on the net cut after layer l with the same seed.
     """
-    return [SampleBatch(u, v, layer, tap, config.priors[layer - 1], *norms)
-            for layer, (u, v, *norms) in zip(layers, _sample(
+    if unit_pair is None:
+        raise ValueError("unit pair must name two units, got None; sample_layer draws a layer")
+    return [SampleBatch(*rows, layer, tap, config.priors[layer - 1], norms)
+            for layer, (rows, norms) in zip(layers, _sample(
                 config, input, layers, unit_pair, tap, n, seed, workers, want_norms))]

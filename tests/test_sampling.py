@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import bnndep.sampling as sampling
-from bnndep.network import IDENTITY, RELU, TANH, PriorSpec, uniform_config
+from bnndep.network import IDENTITY, RELU, SIGMOID, TANH, PriorSpec, elu, uniform_config
 from bnndep.sampling import (
     SampleBatch,
     SeedSpec,
@@ -126,6 +126,17 @@ class TestWeightMatrix:
         assert kurtosis > 1.0  # Gaussian excess kurtosis is 0
 
 
+TAP_PRIORS = {
+    "gaussian": PriorSpec(),
+    "equicorrelated": PriorSpec(family="equicorrelated", rho=0.3),
+    "student_t": PriorSpec(family="student_t", nu=3.0),
+}
+
+
+POST_ACTIVATIONS = {"relu": RELU, "identity": IDENTITY, "tanh": TANH, "sigmoid": SIGMOID,
+                    "elu": elu(0.5)}
+
+
 @pytest.fixture(scope="module")
 def small_setup():
     x = generate_input(30, SeedSpec(77))
@@ -169,11 +180,29 @@ class TestSampleUnits:
         b = sample_units(cfg, x, 2, (0, 1), "pre", 100, SeedSpec(4))
         assert not np.array_equal(a.u, b.u)
 
-    def test_post_tap_applies_activation(self, small_setup):
-        x, cfg = small_setup
-        pre = sample_units(cfg, x, 2, (0, 1), "pre", 300, SeedSpec(6))
-        post = sample_units(cfg, x, 2, (0, 1), "post", 300, SeedSpec(6))
-        assert np.array_equal(post.u, np.maximum(pre.u, 0.0))
+    @pytest.mark.parametrize("family", sorted(TAP_PRIORS))
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("act", sorted(POST_ACTIVATIONS))
+    def test_post_tap_applies_activation(self, family, workers, act):
+        # a post batch is the activation of its pre batch, bit for bit, for a unit pair, for
+        # two taps of one draw and for a whole layer; 9001 draws span three blocks and are
+        # not a multiple of 8
+        x = generate_input(7, SeedSpec(80))
+        fn = POST_ACTIVATIONS[act]
+        cfg = uniform_config(7, 5, 3, fn, TAP_PRIORS[family])
+        units, taps, layer = ({tap: draw(tap) for tap in ("pre", "post")} for draw in (
+            lambda tap: [sample_units(cfg, x, 2, (3, 1), tap, 9001, SeedSpec(6),
+                                      workers=workers)],
+            lambda tap: sample_taps(cfg, x, (2, 3), (0, 4), tap, 9001, SeedSpec(6),
+                                    want_norms=True, workers=workers),
+            lambda tap: sample_layer(cfg, x, 3, 9001, SeedSpec(6), tap, workers=workers)))
+        for pre, post in zip(units["pre"] + taps["pre"], units["post"] + taps["post"]):
+            assert post.n == 9001 and post.tap == "post"
+            assert np.array_equal(post.u, fn(pre.u)) and np.array_equal(post.v, fn(pre.v))
+            assert (post.prev_norms is None if pre.prev_norms is None
+                    else np.array_equal(post.prev_norms, pre.prev_norms))
+        assert layer["post"].shape == (9001, 5)
+        assert np.array_equal(layer["post"], fn(layer["pre"]))
 
     def test_validation_errors(self, small_setup):
         x, cfg = small_setup
@@ -196,6 +225,19 @@ class TestSampleUnits:
             sample_units(cfg, x, 2, (0, 1), "pre", 10, SeedSpec(1), 1)
         with pytest.raises(TypeError):
             sample_taps(cfg, x, (2,), (0, 1), "pre", 10, SeedSpec(1), False, 1)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("norms", [False, True])
+    def test_no_unit_pair_points_to_sample_layer(self, monkeypatch, width, norms):
+        # None used to draw the whole layer, then fail with "not enough values to unpack"
+        # or, with norms, as a batch of unequal lengths; it is rejected before any draw
+        x = generate_input(7, SeedSpec(80))
+        cfg = uniform_config(7, width, 3)
+        monkeypatch.setattr(sampling, "_sample", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match="unit pair .* got None; sample_layer"):
+            sample_units(cfg, x, 2, None, "pre", 10, SeedSpec(1), want_norms=norms)
+        with pytest.raises(ValueError, match="unit pair .* got None; sample_layer"):
+            sample_taps(cfg, x, (2, 3), None, "pre", 10, SeedSpec(1), want_norms=norms)
 
     @pytest.mark.parametrize("pair", [(0, 1, 1), (0,), (), 1, ((0, 1), (1, 2))])
     def test_unit_pair_must_name_two_units(self, small_setup, pair):
@@ -278,13 +320,6 @@ class TestChildCopies:
         _, a = copies(cfg, x, 9000, SeedSpec(17), workers=1)
         _, b = copies(cfg, x, 9000, SeedSpec(17), workers=3)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-
-
-TAP_PRIORS = {
-    "gaussian": PriorSpec(),
-    "equicorrelated": PriorSpec(family="equicorrelated", rho=0.3),
-    "student_t": PriorSpec(family="student_t", nu=3.0),
-}
 
 
 class TestSampleLayer:

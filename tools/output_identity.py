@@ -2,10 +2,11 @@
 
 The base ref is extracted with ``git archive`` into a scratch directory; the
 other side is this checkout's ``src`` as it stands, uncommitted edits
-included.  Each side runs the same command lines in fresh interpreters, 20
+included.  Each side runs the same command lines in fresh interpreters, 23
 per seed and 11 more.  At each seed: every subcommand (sweeps with their
 CSV/SVG/JSON files, one-grid ``delta`` runs, ``concordance``, ``pd``,
-``oracle``, ``selftest`` with its JSON report, ``print-config``); ``delta``,
+``oracle``, ``selftest`` with its JSON report, ``print-config``); post-tap
+``delta`` and whole-layer ``pd`` runs under tanh, sigmoid and elu; ``delta``,
 ``concordance`` and ``pd`` from a ``--config`` document; and ``delta`` and
 ``concordance`` from a second document that sets the activation and prior
 leaves the first leaves out (elu with alpha 0.5, student_t with nu 5, fixed
@@ -70,10 +71,16 @@ def runs(seeds: list[int], n: int) -> list[tuple[str, list[str], dict | None]]:
                                  "--grid-steps", "9", "--out", "{out}"]),
             ("delta_diff_workers", ["delta", *c, *one, "--combo", "diff", "--workers", "2",
                                     "--out", "{out}"]),
+            ("delta_post_tanh", ["delta", *c, *one, "--tap", "post", "--activation", "tanh",
+                                 "--out", "{out}"]),
             ("concordance", ["concordance", *c, "--depths", "2", "--widths", "3"]),
             ("concordance_post", ["concordance", *c, *one, "--tap", "post"]),
             ("concordance_layer", ["concordance", *c, *one, "--layer", "2"]),
             ("pd", ["pd", *c, *one]),
+            ("pd_post_sigmoid", ["pd", *c, *one, "--tap", "post", "--activation", "sigmoid",
+                                 "--workers", "2"]),
+            ("pd_post_elu_t", ["pd", *c, *one, "--tap", "post", "--activation", "elu",
+                               "--elu-alpha", "0.5", "--prior-family", "student_t", "--nu", "5"]),
             ("oracle_delta00", ["oracle", "delta00", "--width", str(1 + s % 6), "--exact"]),
             ("oracle_enumerate", ["oracle", "enumerate", "--net-widths", "1,2,2",
                                   "--z1", str(0.25 * s), "--tail", "lower"]),
